@@ -15,9 +15,7 @@ import numpy as np
 from . import decoder, evaluator, generator, graph, serialize, solver
 from .analysis import theoretical_bound
 from .evaluator import ORACLE_CAPS, oracle_best, random_solution, score
-from .model import KINDS, forbidden_desired_counts, validate
-
-TREE_KINDS = ("triplets", "quartets")
+from .model import CONSTRAINT_SPECS, KINDS, TREE_KINDS, forbidden_desired_counts, is_rate, validate
 
 
 @click.group()
@@ -183,8 +181,8 @@ def _bench_cell(kind: str, n: int, m: int, eps: float, seed: int, balanced: bool
         "wall_ms": wall_ms,
     }
     if kind in TREE_KINDS:
-        forb = [c for c in inst.constraints if type(c).__name__.startswith("Forbidden")]
-        des = [c for c in inst.constraints if type(c).__name__.startswith("Desired")]
+        forb = [c for c in inst.constraints if CONSTRAINT_SPECS[type(c)].desired is False]
+        des = [c for c in inst.constraints if CONSTRAINT_SPECS[type(c)].desired]
         if forb:
             fs = evaluator.count_satisfied(forb, sol)
             row["forbidden_fraction"] = fs / len(forb)
@@ -227,6 +225,8 @@ def cmd_bench(kinds, n, m, eps_grid, seeds, balanced, out):
         eps_list = [float(e) for e in eps_grid.split(",") if e.strip()]
     except ValueError:
         raise click.UsageError(f"cannot parse --eps-grid {eps_grid!r}")
+    if not all(is_rate(e) for e in eps_list):
+        raise click.UsageError(f"--eps-grid rates must lie in [0, 1]: {eps_grid!r}")
     if seeds < 1:
         raise click.UsageError("--seeds must be positive")
     cells = [(k, e, s) for k in kind_list for e in eps_list for s in range(seeds)]

@@ -144,24 +144,6 @@ def _count_ranking_grouped(grouped: dict[type, np.ndarray], pos: np.ndarray) -> 
     return total
 
 
-def ranking_satisfaction_counter(
-    constraints: Iterable[Constraint],
-) -> Callable[[Ranking], int]:
-    """Compile a constraint list into a fast counter over rankings."""
-    buckets: dict[type, list[tuple[int, ...]]] = {}
-    for c in constraints:
-        buckets.setdefault(type(c), []).append(c.items())
-    grouped = {cls: np.asarray(rows, dtype=np.int64) for cls, rows in buckets.items()}
-    for cls in grouped:
-        if cls not in _RANKING_COUNTERS:
-            raise TypeError(f"{cls.__name__} is not a ranking constraint")
-
-    def count(r: Ranking) -> int:
-        return _count_ranking_grouped(grouped, r.position)
-
-    return count
-
-
 def _quartet_obeyed_mask(A: np.ndarray, dist: np.ndarray) -> np.ndarray:
     a, b, c, d = A[:, 0], A[:, 1], A[:, 2], A[:, 3]
     own = dist[a, b] + dist[c, d]

@@ -39,10 +39,9 @@ from .model import (
     Ranking,
     RootedBinaryTree,
     Solution,
+    TREE_KINDS,
     UnrootedTree,
 )
-
-TREE_KINDS = ("triplets", "quartets")
 
 MAX_RESAMPLES = 1000
 

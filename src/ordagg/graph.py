@@ -1,9 +1,10 @@
 """Signed constraint graphs and cut bookkeeping.
 
-Each constraint contributes a fixed pattern of positive and negative edge
-weights; parallel contributions aggregate by summation and exact zeros are
-dropped. Precedence instances build a directed graph (a cut counts only arcs
-leaving S), everything else an undirected one.
+Each constraint contributes the fixed pattern of positive and negative edge
+weights named by its class's row in model.CONSTRAINT_SPECS; parallel
+contributions aggregate by summation and exact zeros are dropped. Precedence
+instances build a directed graph (a cut counts only arcs leaving S),
+everything else an undirected one.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import (
+    CONSTRAINT_SPECS,
     Between,
     CannotLink,
     Constraint,
@@ -59,50 +61,22 @@ class SignedGraph:
 
 def build(instance: Instance, cc_mustlink_weight: float = -1.0) -> SignedGraph:
     directed = instance.kind == "mas"
+    patterns = {
+        cls: tuple((i, j, cc_mustlink_weight if w is None else w) for i, j, w in spec.pattern)
+        for cls, spec in CONSTRAINT_SPECS.items()
+        if spec.pattern is not None
+    }
     acc: dict[tuple[int, int], float] = {}
-
-    def add(u: int, v: int, w: float) -> None:
-        key = (u, v) if directed or u < v else (v, u)
-        acc[key] = acc.get(key, 0.0) + w
-
     for c in instance.constraints:
-        if isinstance(c, Precedes):
-            add(c.a, c.b, 1.0)
-            add(c.b, c.a, -1.0)
-        elif isinstance(c, Between):
-            add(c.a, c.c, 2.0)
-            add(c.a, c.b, -1.0)
-            add(c.b, c.c, -1.0)
-        elif isinstance(c, NotBetween):
-            add(c.out, c.a, 1.0)
-            add(c.out, c.b, 1.0)
-            add(c.a, c.b, -2.0)
-        elif isinstance(c, CannotLink):
-            add(c.a, c.b, 1.0)
-        elif isinstance(c, MustLink):
-            add(c.a, c.b, cc_mustlink_weight)
-        elif isinstance(c, ForbiddenTriplet):
-            add(c.a, c.b, 2.0)
-            add(c.out, c.a, -1.0)
-            add(c.out, c.b, -1.0)
-        elif isinstance(c, DesiredTriplet):
-            add(c.a, c.b, -2.0)
-            add(c.out, c.a, 1.0)
-            add(c.out, c.b, 1.0)
-        elif isinstance(c, ForbiddenQuartet):
-            add(c.a, c.b, 2.0)
-            add(c.c, c.d, 2.0)
-            for x in (c.a, c.b):
-                for y in (c.c, c.d):
-                    add(x, y, -1.0)
-        elif isinstance(c, DesiredQuartet):
-            add(c.a, c.b, -2.0)
-            add(c.c, c.d, -2.0)
-            for x in (c.a, c.b):
-                for y in (c.c, c.d):
-                    add(x, y, 1.0)
-        else:
-            raise TypeError(f"no edge pattern for {type(c).__name__}")
+        try:
+            pattern = patterns[type(c)]
+        except KeyError:
+            raise TypeError(f"no edge pattern for {type(c).__name__}") from None
+        items = c.items()
+        for i, j, w in pattern:
+            u, v = items[i], items[j]
+            key = (u, v) if directed or u < v else (v, u)
+            acc[key] = acc.get(key, 0.0) + w
 
     weights = {k: w for k, w in acc.items() if w != 0.0}
     w_minus = float(sum(-w for w in weights.values() if w < 0.0))
@@ -162,50 +136,27 @@ def classify(c: Constraint, S) -> CutStatus:
     raise TypeError(f"no cut status for {type(c).__name__}")
 
 
+# The cut weight one constraint contributes, by class and cut status, where
+# None stands for the cc must-link weight; every other status contributes 0.
+_STATUS_WEIGHTS: dict[type, dict[CutStatus, float | None]] = {
+    Precedes: {CutStatus.SATISFIED: 1.0, CutStatus.VIOLATED: -1.0},
+    Between: {CutStatus.POSTPONED: 1.0, CutStatus.VIOLATED: -2.0},
+    NotBetween: {CutStatus.SATISFIED: 2.0, CutStatus.POSTPONED: -1.0},
+    MustLink: {CutStatus.VIOLATED: None},
+    CannotLink: {CutStatus.SATISFIED: 1.0},
+    DesiredTriplet: {CutStatus.OBEYED: 2.0, CutStatus.DISOBEYED: -1.0},
+    ForbiddenTriplet: {CutStatus.OBEYED: -2.0, CutStatus.DISOBEYED: 1.0},
+    DesiredQuartet: {CutStatus.OBEYED: 4.0, CutStatus.DISOBEYED: -2.0},
+    ForbiddenQuartet: {CutStatus.OBEYED: -4.0, CutStatus.DISOBEYED: 2.0},
+}
+
+
 def check_weight_identity(instance: Instance, S, cc_mustlink_weight: float = -1.0):
     """Cut weight vs its closed form in constraint statuses; returns (lhs, rhs)."""
     g = build(instance, cc_mustlink_weight=cc_mustlink_weight)
     lhs = cut_weight(g, S)
-    kind = instance.kind
-    if kind == "mas":
-        sat = sum(classify(c, S) is CutStatus.SATISFIED for c in instance.constraints)
-        vio = sum(classify(c, S) is CutStatus.VIOLATED for c in instance.constraints)
-        rhs = float(sat - vio)
-    elif kind == "btw":
-        post = sum(classify(c, S) is CutStatus.POSTPONED for c in instance.constraints)
-        vio = sum(classify(c, S) is CutStatus.VIOLATED for c in instance.constraints)
-        rhs = float(post - 2 * vio)
-    elif kind == "nonbtw":
-        sat = sum(classify(c, S) is CutStatus.SATISFIED for c in instance.constraints)
-        post = sum(classify(c, S) is CutStatus.POSTPONED for c in instance.constraints)
-        rhs = float(2 * sat - post)
-    elif kind == "cc":
-        sat = sum(classify(c, S) is CutStatus.SATISFIED for c in instance.constraints)
-        vio = sum(classify(c, S) is CutStatus.VIOLATED for c in instance.constraints)
-        rhs = float(sat + cc_mustlink_weight * vio)
-    elif kind == "triplets":
-        rhs = 0.0
-        for c in instance.constraints:
-            st = classify(c, S)
-            if isinstance(c, ForbiddenTriplet):
-                rhs += {CutStatus.OBEYED: -2.0, CutStatus.DISOBEYED: 1.0}.get(st, 0.0)
-            else:
-                rhs += {CutStatus.OBEYED: 2.0, CutStatus.DISOBEYED: -1.0}.get(st, 0.0)
-    elif kind == "quartets":
-        rhs = 0.0
-        for c in instance.constraints:
-            st = classify(c, S)
-            if isinstance(c, ForbiddenQuartet):
-                rhs += {CutStatus.OBEYED: -4.0, CutStatus.DISOBEYED: 2.0}.get(st, 0.0)
-            else:
-                rhs += {CutStatus.OBEYED: 4.0, CutStatus.DISOBEYED: -2.0}.get(st, 0.0)
-    else:
-        raise ValueError(f"unknown kind {kind}")
+    rhs = 0.0
+    for c in instance.constraints:
+        w = _STATUS_WEIGHTS[type(c)].get(classify(c, S), 0.0)
+        rhs += cc_mustlink_weight if w is None else w
     return lhs, rhs
-
-
-def to_edge_list(g: SignedGraph) -> str:
-    lines = [f"# n={g.n} directed={int(g.directed)}"]
-    for (u, v), w in sorted(g.weights.items()):
-        lines.append(f"{u} {v} {w:.12g}")
-    return "\n".join(lines) + "\n"

@@ -2,9 +2,12 @@
 
 Items are dense integers 0..n-1. Constraints are small frozen dataclasses;
 unordered pairs inside them are stored smaller-index-first so equal constraints
-compare equal. Trees live in flat index arenas (parallel tuples) so traversal
-is deterministic, child order is explicit, and rebuilding with swapped children
-is cheap.
+compare equal. Each class has one row in CONSTRAINT_SPECS (file tag, field
+pairs, signed edge pattern, desired or forbidden); only the satisfaction test
+(evaluator.satisfies) and the cut status (graph.classify) live elsewhere.
+Trees live in flat index arenas (parallel tuples) so traversal is
+deterministic, child order is explicit, and rebuilding with swapped children is
+cheap.
 """
 
 from __future__ import annotations
@@ -12,19 +15,44 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 KINDS = ("mas", "btw", "nonbtw", "cc", "triplets", "quartets")
+TREE_KINDS = ("triplets", "quartets")
 
 
-def _swap_if_needed(obj, x_field: str, y_field: str) -> None:
-    x = getattr(obj, x_field)
-    y = getattr(obj, y_field)
-    if y < x:
-        object.__setattr__(obj, x_field, y)
-        object.__setattr__(obj, y_field, x)
+class ConstraintSpec(NamedTuple):
+    """One row of the constraint table: what a constraint class means outside
+    its own satisfaction test.
+
+    tag: JSON tag; None for the reduction-side classes no instance file holds.
+    pairs: interchangeable field pairs, stored smaller-index-first.
+    pattern: signed edges (i, j, weight) from items()[i] to items()[j], where
+        weight None stands for the cc must-link weight; None where the class
+        has no graph.
+    desired: for tree kinds, True on the desired and False on the forbidden
+        variant.
+    """
+
+    tag: str | None
+    pairs: tuple[tuple[str, str], ...]
+    pattern: tuple[tuple[int, int, float | None], ...] | None
+    desired: bool | None = None
+
+
+class _OrderedPairs:
+    """Base of the constraint classes with interchangeable fields: stores each
+    of the class's `_pairs`, copied from its table row, smaller-index-first."""
+
+    def __post_init__(self):
+        for x_field, y_field in self._pairs:
+            x = getattr(self, x_field)
+            y = getattr(self, y_field)
+            if y < x:
+                object.__setattr__(self, x_field, y)
+                object.__setattr__(self, y_field, x)
 
 
 @dataclass(frozen=True)
@@ -39,91 +67,73 @@ class Precedes:
 
 
 @dataclass(frozen=True)
-class Between:
+class Between(_OrderedPairs):
     """b must lie between a and c in the ranking (a and c interchangeable)."""
 
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        _swap_if_needed(self, "a", "c")
-
     def items(self):
         return (self.a, self.b, self.c)
 
 
 @dataclass(frozen=True)
-class NotBetween:
+class NotBetween(_OrderedPairs):
     """out must not lie between a and b (a and b interchangeable)."""
 
     a: int
     b: int
     out: int
 
-    def __post_init__(self):
-        _swap_if_needed(self, "a", "b")
-
     def items(self):
         return (self.a, self.b, self.out)
 
 
 @dataclass(frozen=True)
-class MustLink:
+class MustLink(_OrderedPairs):
     a: int
     b: int
-
-    def __post_init__(self):
-        _swap_if_needed(self, "a", "b")
 
     def items(self):
         return (self.a, self.b)
 
 
 @dataclass(frozen=True)
-class CannotLink:
+class CannotLink(_OrderedPairs):
     a: int
     b: int
-
-    def __post_init__(self):
-        _swap_if_needed(self, "a", "b")
 
     def items(self):
         return (self.a, self.b)
 
 
 @dataclass(frozen=True)
-class DesiredTriplet:
+class DesiredTriplet(_OrderedPairs):
     """Resolution ab|out must hold: the a,b ancestor sits strictly below the full LCA."""
 
     a: int
     b: int
     out: int
 
-    def __post_init__(self):
-        _swap_if_needed(self, "a", "b")
-
     def items(self):
         return (self.a, self.b, self.out)
 
 
 @dataclass(frozen=True)
-class ForbiddenTriplet:
+class ForbiddenTriplet(_OrderedPairs):
     """Resolution ab|out must not hold."""
 
     a: int
     b: int
     out: int
 
-    def __post_init__(self):
-        _swap_if_needed(self, "a", "b")
-
     def items(self):
         return (self.a, self.b, self.out)
 
 
 @dataclass(frozen=True)
-class DesiredQuartet:
+class DesiredQuartet(_OrderedPairs):
     """Split ab|cd must hold: the a-b and c-d paths must be vertex disjoint."""
 
     a: int
@@ -131,16 +141,12 @@ class DesiredQuartet:
     c: int
     d: int
 
-    def __post_init__(self):
-        _swap_if_needed(self, "a", "b")
-        _swap_if_needed(self, "c", "d")
-
     def items(self):
         return (self.a, self.b, self.c, self.d)
 
 
 @dataclass(frozen=True)
-class ForbiddenQuartet:
+class ForbiddenQuartet(_OrderedPairs):
     """Split ab|cd must not hold."""
 
     a: int
@@ -148,16 +154,12 @@ class ForbiddenQuartet:
     c: int
     d: int
 
-    def __post_init__(self):
-        _swap_if_needed(self, "a", "b")
-        _swap_if_needed(self, "c", "d")
-
     def items(self):
         return (self.a, self.b, self.c, self.d)
 
 
 @dataclass(frozen=True)
-class FourSeparated:
+class FourSeparated(_OrderedPairs):
     """Both of a,b must precede both of c,d in the ranking, or vice versa."""
 
     a: int
@@ -165,16 +167,12 @@ class FourSeparated:
     c: int
     d: int
 
-    def __post_init__(self):
-        _swap_if_needed(self, "a", "b")
-        _swap_if_needed(self, "c", "d")
-
     def items(self):
         return (self.a, self.b, self.c, self.d)
 
 
 @dataclass(frozen=True)
-class FourNonSeparated:
+class FourNonSeparated(_OrderedPairs):
     """The blocks {a,b} and {c,d} must not be fully separated in the ranking."""
 
     a: int
@@ -182,13 +180,43 @@ class FourNonSeparated:
     c: int
     d: int
 
-    def __post_init__(self):
-        _swap_if_needed(self, "a", "b")
-        _swap_if_needed(self, "c", "d")
-
     def items(self):
         return (self.a, self.b, self.c, self.d)
 
+
+_AB = (("a", "b"),)
+_AB_CD = (("a", "b"), ("c", "d"))
+
+CONSTRAINT_SPECS: dict[type, ConstraintSpec] = {
+    Precedes: ConstraintSpec("prec", (), ((0, 1, 1.0), (1, 0, -1.0))),
+    Between: ConstraintSpec("btw", (("a", "c"),), ((0, 2, 2.0), (0, 1, -1.0), (1, 2, -1.0))),
+    NotBetween: ConstraintSpec("nbtw", _AB, ((2, 0, 1.0), (2, 1, 1.0), (0, 1, -2.0))),
+    MustLink: ConstraintSpec("ml", _AB, ((0, 1, None),)),
+    CannotLink: ConstraintSpec("cl", _AB, ((0, 1, 1.0),)),
+    DesiredTriplet: ConstraintSpec(
+        "dt", _AB, ((0, 1, -2.0), (2, 0, 1.0), (2, 1, 1.0)), desired=True
+    ),
+    ForbiddenTriplet: ConstraintSpec(
+        "ft", _AB, ((0, 1, 2.0), (2, 0, -1.0), (2, 1, -1.0)), desired=False
+    ),
+    DesiredQuartet: ConstraintSpec(
+        "dq", _AB_CD,
+        ((0, 1, -2.0), (2, 3, -2.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0)),
+        desired=True,
+    ),
+    ForbiddenQuartet: ConstraintSpec(
+        "fq", _AB_CD,
+        ((0, 1, 2.0), (2, 3, 2.0), (0, 2, -1.0), (0, 3, -1.0), (1, 2, -1.0), (1, 3, -1.0)),
+        desired=False,
+    ),
+    # reduction-side ranking constraints: no instance kind, file tag or graph
+    FourSeparated: ConstraintSpec(None, _AB_CD, None),
+    FourNonSeparated: ConstraintSpec(None, _AB_CD, None),
+}
+
+# read on every construction, where a class attribute is faster than a table lookup
+for _cls, _spec in CONSTRAINT_SPECS.items():
+    _cls._pairs = _spec.pairs
 
 Constraint = Union[
     Precedes,
@@ -400,13 +428,8 @@ class Instance:
 
 def forbidden_desired_counts(instance: Instance) -> tuple[int, int]:
     """(m1, m2) = (# forbidden, # desired) constraints of a tree-kind instance."""
-    m1 = sum(
-        1 for c in instance.constraints if isinstance(c, (ForbiddenTriplet, ForbiddenQuartet))
-    )
-    m2 = sum(
-        1 for c in instance.constraints if isinstance(c, (DesiredTriplet, DesiredQuartet))
-    )
-    return m1, m2
+    desired = [CONSTRAINT_SPECS[type(c)].desired for c in instance.constraints]
+    return desired.count(False), desired.count(True)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +450,7 @@ def rooted_from_nested(nested) -> RootedBinaryTree:
         left.append(-1)
         right.append(-1)
         leaf_item.append(-1)
-        if isinstance(spec, (int, np.integer)):
+        if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
             leaf_item[idx] = int(spec)
         else:
             l, r = spec
@@ -588,12 +611,19 @@ _GT_VALIDATORS = {
 }
 
 
+def is_rate(x) -> bool:
+    """An error rate is a finite number in [0, 1]; booleans do not count."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0.0 <= x <= 1.0
+
+
 def validate(instance: Instance) -> list[str]:
     """Every invariant violation as a human-readable string; empty when valid."""
     out = []
     if instance.kind not in KINDS:
         out.append(f"unknown kind {instance.kind}")
         return out
+    if instance.n < 0:
+        out.append("n is negative")
     legal = KIND_CONSTRAINTS[instance.kind]
     for i, c in enumerate(instance.constraints):
         if not isinstance(c, legal):

@@ -56,12 +56,6 @@ class CutResult:
     rounds_used: int
 
 
-@dataclass(frozen=True)
-class EmbeddingVectors:
-    vectors: np.ndarray
-    v0_index: int | None
-
-
 def f_half(theta):
     """Rotation curve theta/2 + (pi/4)(1 - cos theta) on [0, pi]."""
     th = np.asarray(theta, dtype=float)
@@ -70,11 +64,6 @@ def f_half(theta):
     th = np.clip(th, 0.0, math.pi)
     out = 0.5 * th + 0.25 * math.pi * (1.0 - np.cos(th))
     return float(out) if np.ndim(theta) == 0 else out
-
-
-def same_side_probability(theta_ij: float, theta_i0: float, theta_j0: float) -> float:
-    """P(i and j round with v0) for unit vectors at the given pairwise angles."""
-    return 1.0 - (theta_ij + theta_i0 + theta_j0) / (2.0 * math.pi)
 
 
 def _row_normalize(V: np.ndarray) -> np.ndarray:
@@ -125,22 +114,23 @@ def _rotate_to_v0(V: np.ndarray) -> np.ndarray:
     return out
 
 
-def _round_undirected(V, u, v, w, hyperplanes, rng):
+def _crossing(x, u, v, directed: bool):
+    """Which edges u -> v cross the cut(s) whose S-membership x has one row per
+    node; indexing here frees the E x hyperplanes masks as soon as they are used."""
+    return x[u] & ~x[v] if directed else x[u] != x[v]
+
+
+def _round(V, u, v, w, hyperplanes, rng, directed, rotation):
+    """Best of a batch of hyperplane cuts as an S-membership mask; on directed
+    graphs S is the side of v0 (row 0), optionally after the rotation."""
+    if directed and rotation:
+        V = _rotate_to_v0(V)
     H = rng.standard_normal((V.shape[1], hyperplanes))
     side = (V @ H) >= 0.0
-    cuts = w @ (side[u] != side[v])
-    best = int(np.argmax(cuts))
-    return side[:, best].copy(), float(cuts[best])
-
-
-def _round_directed(V, u, v, w, hyperplanes, rng, rotation):
-    Vr = _rotate_to_v0(V) if rotation else V
-    H = rng.standard_normal((Vr.shape[1], hyperplanes))
-    side = (Vr @ H) >= 0.0
-    member = side[1:] == side[0][None, :]
-    cuts = w @ (member[u] & ~member[v])
-    best = int(np.argmax(cuts))
-    return member[:, best].copy(), float(cuts[best])
+    if directed:
+        side = side[1:] == side[0][None, :]
+    cuts = w @ _crossing(side, u, v, directed)
+    return side[:, int(np.argmax(cuts))].copy()
 
 
 def _local_search_undirected(A, x, max_flips):
@@ -176,117 +166,54 @@ def _local_search_directed(W, x, max_flips):
     return x
 
 
-def _base_seed(cfg: SolverConfig, rng) -> int:
-    if rng is None:
-        return cfg.seed
-    return int(rng.integers(0, 2**63 - 1))
-
-
-def _mask_to_cut(g: SignedGraph, x) -> frozenset[int]:
-    return frozenset(int(i) for i in np.nonzero(x)[0])
-
-
-def solve_undirected(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResult:
-    if g.directed:
-        raise ValueError("graph is directed")
-    cfg = cfg or SolverConfig()
+def _relaxation(g: SignedGraph) -> tuple[np.ndarray, float, np.ndarray]:
+    """(M, const, D): the relaxation value is const + tr(V^T M V), and D is
+    the dense weight matrix local search works on (symmetric when undirected).
+    Directed graphs put v0 in row 0 of M."""
     n = g.n
     u, v, w = g.edge_arrays
-    if n == 0 or w.size == 0:
-        return CutResult(frozenset(), 0.0, 0.0, 0, 0)
-    A = np.zeros((n, n))
-    A[u, v] = w
-    A[v, u] = w
-    M = -0.25 * A
-    const = 0.5 * float(w.sum())
-    k = cfg.rank if cfg.rank is not None else default_rank(n)
-    base = _base_seed(cfg, rng)
-    best_relax = -math.inf
-    best_x = None
-    best_weight = -math.inf
-    for r in range(cfg.restarts):
-        rr = np.random.default_rng((base, r))
-        V, val = _ascend(M, const, k, cfg.max_iterations, cfg.tol, rr)
-        best_relax = max(best_relax, val)
-        x, _ = _round_undirected(V, u, v, w, cfg.hyperplanes, rr)
-        if cfg.local_search:
-            x = _local_search_undirected(A, x, 10 * n)
-        weight = float(w[x[u] != x[v]].sum())
-        if weight > best_weight:
-            best_weight = weight
-            best_x = x
-    S = _mask_to_cut(g, best_x)
-    weight = cut_weight(g, S)
-    return CutResult(S, weight, max(best_relax, weight), cfg.restarts, cfg.restarts * cfg.hyperplanes)
-
-
-def solve_directed(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResult:
+    D = np.zeros((n, n))
+    D[u, v] = w
     if not g.directed:
-        raise ValueError("graph is undirected")
-    cfg = cfg or SolverConfig()
-    n = g.n
-    u, v, w = g.edge_arrays
-    if n == 0 or w.size == 0:
-        return CutResult(frozenset(), 0.0, 0.0, 0, 0)
-    W = np.zeros((n, n))
-    W[u, v] = w
+        D[v, u] = w
+        return -0.25 * D, 0.5 * float(w.sum()), D
     M = np.zeros((n + 1, n + 1))
-    out_minus_in = W.sum(axis=1) - W.sum(axis=0)
+    out_minus_in = D.sum(axis=1) - D.sum(axis=0)
     M[0, 1:] = out_minus_in / 8.0
     M[1:, 0] = out_minus_in / 8.0
-    M[1:, 1:] = -(W + W.T) / 8.0
-    const = 0.25 * float(w.sum())
-    k = cfg.rank if cfg.rank is not None else default_rank(n)
-    base = _base_seed(cfg, rng)
-    best_relax = -math.inf
-    best_x = None
-    best_weight = -math.inf
-    for r in range(cfg.restarts):
-        rr = np.random.default_rng((base, r))
-        V, val = _ascend(M, const, k, cfg.max_iterations, cfg.tol, rr)
-        best_relax = max(best_relax, val)
-        x, _ = _round_directed(V, u, v, w, cfg.hyperplanes, rr, cfg.rotation)
-        if cfg.local_search:
-            x = _local_search_directed(W, x, 10 * n)
-        weight = float(w[x[u] & ~x[v]].sum())
-        if weight > best_weight:
-            best_weight = weight
-            best_x = x
-    S = _mask_to_cut(g, best_x)
-    weight = cut_weight(g, S)
-    return CutResult(S, weight, max(best_relax, weight), cfg.restarts, cfg.restarts * cfg.hyperplanes)
+    M[1:, 1:] = -(D + D.T) / 8.0
+    return M, 0.25 * float(w.sum()), D
 
 
 def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResult:
-    if g.directed:
-        return solve_directed(g, cfg, rng)
-    return solve_undirected(g, cfg, rng)
-
-
-def embed(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> EmbeddingVectors:
-    """One ascent run without rounding; row 0 is v0 on directed graphs."""
+    """Best cut over cfg.restarts runs of ascent, rounding and local search;
+    run r draws from default_rng((seed, r)), seed coming from rng when given."""
     cfg = cfg or SolverConfig()
-    u, v, w = g.edge_arrays
     n = g.n
-    if g.directed:
-        W = np.zeros((n, n))
-        W[u, v] = w
-        M = np.zeros((n + 1, n + 1))
-        out_minus_in = W.sum(axis=1) - W.sum(axis=0)
-        M[0, 1:] = out_minus_in / 8.0
-        M[1:, 0] = out_minus_in / 8.0
-        M[1:, 1:] = -(W + W.T) / 8.0
-        const = 0.25 * float(w.sum())
-    else:
-        A = np.zeros((n, n))
-        A[u, v] = w
-        A[v, u] = w
-        M = -0.25 * A
-        const = 0.5 * float(w.sum())
+    u, v, w = g.edge_arrays
+    if n == 0 or w.size == 0:
+        return CutResult(frozenset(), 0.0, 0.0, 0, 0)
+    M, const, D = _relaxation(g)
+    local_search = _local_search_directed if g.directed else _local_search_undirected
     k = cfg.rank if cfg.rank is not None else default_rank(n)
-    rr = np.random.default_rng((_base_seed(cfg, rng), 0))
-    V, _ = _ascend(M, const, k, cfg.max_iterations, cfg.tol, rr)
-    return EmbeddingVectors(vectors=V, v0_index=0 if g.directed else None)
+    base = cfg.seed if rng is None else int(rng.integers(0, 2**63 - 1))
+    best_relax = -math.inf
+    best_x = None
+    best_weight = -math.inf
+    for r in range(cfg.restarts):
+        rr = np.random.default_rng((base, r))
+        V, val = _ascend(M, const, k, cfg.max_iterations, cfg.tol, rr)
+        best_relax = max(best_relax, val)
+        x = _round(V, u, v, w, cfg.hyperplanes, rr, g.directed, cfg.rotation)
+        if cfg.local_search:
+            x = local_search(D, x, 10 * n)
+        weight = float(w[_crossing(x, u, v, g.directed)].sum())
+        if weight > best_weight:
+            best_weight = weight
+            best_x = x
+    S = frozenset(int(i) for i in np.nonzero(best_x)[0])
+    weight = cut_weight(g, S)
+    return CutResult(S, weight, max(best_relax, weight), cfg.restarts, cfg.restarts * cfg.hyperplanes)
 
 
 def brute_force_cut(g: SignedGraph) -> CutResult:

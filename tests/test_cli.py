@@ -125,6 +125,57 @@ def test_solve_rejects_wrong_version(runner, tmp_path):
     assert res.exit_code == 2
 
 
+_PREC = {"version": 1, "kind": "mas", "n": 3, "constraints": [{"t": "prec", "a": 0, "b": 1}]}
+
+
+@pytest.mark.parametrize("obj", [
+    {**_PREC, "constraints": [{"t": "prec", "a": 1.7, "b": 0}]},
+    {**_PREC, "constraints": [{"t": "prec", "a": "1", "b": 0}]},
+    {**_PREC, "constraints": [{"t": "prec", "a": True, "b": 0}]},
+    {**_PREC, "ground_truth": {"ranking": [0, 1.0, 2]}},
+    {**_PREC, "ground_truth": {"ranking": [0, True, 2]}},
+    {**_PREC, "kind": "triplets", "constraints": [],
+     "ground_truth": {"rooted_tree": [[0, True], 2]}},
+    {**_PREC, "kind": "quartets", "n": 4, "constraints": [],
+     "ground_truth": {"unrooted_tree": {"adjacency": [[4], [4], [5], [5], [0, 1, 5], [2, 3, 4]],
+                                        "items": [0, 1, 2, 3.0, None, None]}}},
+    {**_PREC, "n": -2, "constraints": []},
+    {**_PREC, "n": 3.0},
+    [_PREC],
+], ids=["float-item", "string-item", "bool-item", "float-truth", "bool-truth",
+        "bool-leaf", "float-leaf", "negative-n", "float-n", "top-level-list"])
+def test_solve_rejects_malformed_input(runner, tmp_path, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["solve", "--in", str(bad), "--out", str(tmp_path / "s.json")])
+    assert res.exit_code == 2, res.output
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["meta", {"eps": 2}],
+    ["meta", {"eps": "x"}],
+    ["meta", {"eps": float("nan")}],
+    ["meta", {"eps": True}],
+    ["meta", "eps"],
+    ["bench", "nan"],
+    ["bench", "0.1,1.5"],
+    ["bench", "-inf"],
+], ids=["meta-2", "meta-string", "meta-nan", "meta-bool", "meta-not-object",
+        "grid-nan", "grid-above-1", "grid-minus-inf"])
+def test_rates_must_lie_in_unit_interval(runner, tmp_path, args):
+    where, value = args
+    if where == "meta":
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**_PREC, "meta": value}))
+        cmd = ["solve", "--in", str(path), "--out", str(tmp_path / "s.json")]
+    else:
+        cmd = ["bench", "--kinds", "mas", "--n", "5", "--m", "4", "--seeds", "1",
+               "--eps-grid", value, "--out", str(tmp_path / "b.csv")]
+    res = runner.invoke(main, cmd)
+    assert res.exit_code == 2, res.output
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))

@@ -15,15 +15,16 @@ from ordagg.evaluator import (
     enumerate_solutions,
     enumerate_unrooted_trees,
     oracle_best,
-    random_ranking,
     random_rooted_tree,
     random_solution,
     random_unrooted_tree,
-    ranking_satisfaction_counter,
     satisfies,
     score,
 )
+from ordagg.generator import GeneratorConfig, make_instance
 from ordagg.model import (
+    KINDS,
+    TREE_KINDS,
     Between,
     CannotLink,
     DesiredQuartet,
@@ -128,12 +129,17 @@ def test_score_rejects_mismatched_solution():
         score(inst, Partition((0, 0, 0)))
 
 
-def test_ranking_counter_matches_satisfies(rng):
-    cons = (Between(0, 1, 2), NotBetween(1, 3, 0), Precedes(2, 4), Between(1, 4, 3))
-    counter = ranking_satisfaction_counter(cons)
-    for _ in range(50):
-        r = random_ranking(5, rng)
-        assert counter(r) == count_satisfied(cons, r)
+@pytest.mark.parametrize("kind", KINDS)
+def test_score_matches_count_satisfied(kind, rng):
+    # score's vectorised paths against the scalar reference, satisfies()
+    if kind in TREE_KINDS:
+        cfg = GeneratorConfig(kind=kind, n=9, m1=20, m2=20, eps1=0.3, eps2=0.3, seed=4)
+    else:
+        cfg = GeneratorConfig(kind=kind, n=9, m=40, eps=0.3, seed=4)
+    inst = make_instance(cfg)
+    for _ in range(30):
+        sol = random_solution(kind, inst.n, rng)
+        assert score(inst, sol).satisfied == count_satisfied(inst.constraints, sol)
 
 
 def test_enumeration_counts():
@@ -169,8 +175,6 @@ def test_oracle_cap_raises():
 
 
 def test_oracle_beats_random_sampling(rng):
-    from ordagg.generator import GeneratorConfig, make_instance
-
     for kind, kwargs in (
         ("btw", dict(m=12)),
         ("cc", dict(m=12)),

@@ -10,7 +10,6 @@ from ordagg.graph import (
     check_weight_identity,
     classify,
     cut_weight,
-    to_edge_list,
 )
 from ordagg.model import (
     Between,
@@ -173,10 +172,3 @@ def test_build_is_additive_over_constraints(pairs):
             merged[k] = merged.get(k, 0.0) + w
     merged = {k: w for k, w in merged.items() if w != 0.0}
     assert whole.weights == merged
-
-
-def test_edge_list_export():
-    inst = Instance(kind="btw", n=3, constraints=(Between(0, 1, 2),))
-    text = to_edge_list(build(inst))
-    assert text.splitlines()[0] == "# n=3 directed=0"
-    assert "0 2 2" in text

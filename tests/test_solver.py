@@ -9,12 +9,8 @@ from ordagg.solver import (
     SolverConfig,
     brute_force_cut,
     default_rank,
-    embed,
     f_half,
-    same_side_probability,
     solve,
-    solve_directed,
-    solve_undirected,
 )
 
 
@@ -73,26 +69,6 @@ def test_f_half_domain_and_vector_form():
     assert out.shape == (2,)
 
 
-def test_same_side_probability_known_values():
-    # orthogonal triple: 1 - 3*(pi/2)/(2 pi) = 1/4
-    assert same_side_probability(math.pi / 2, math.pi / 2, math.pi / 2) == pytest.approx(0.25)
-    # coincident vectors always agree
-    assert same_side_probability(0.0, 0.0, 0.0) == pytest.approx(1.0)
-
-
-def test_same_side_probability_monte_carlo(rng):
-    # random unit triple in R^4, 10^6 hyperplanes
-    vs = rng.standard_normal((3, 4))
-    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-    v0, vi, vj = vs
-    H = rng.standard_normal((4, 1_000_000))
-    s = (vs @ H) >= 0
-    hit = np.mean((s[1] == s[0]) & (s[2] == s[0]))
-    ang = lambda x, y: math.acos(max(-1.0, min(1.0, float(x @ y))))
-    pred = same_side_probability(ang(vi, vj), ang(vi, v0), ang(vj, v0))
-    assert abs(hit - pred) < 0.005
-
-
 def test_default_rank():
     assert default_rank(1) == 2
     assert default_rank(100) >= math.isqrt(200)
@@ -132,7 +108,7 @@ def test_brute_force_cap():
 
 def test_empty_graph_solves_trivially():
     g = _und(5, {})
-    res = solve_undirected(g)
+    res = solve(g)
     assert res == CutResult(frozenset(), 0.0, 0.0, 0, 0)
 
 
@@ -144,7 +120,7 @@ def test_solver_matches_brute_force_small_undirected():
         if not g.weights:
             ok += 1
             continue
-        res = solve_undirected(g, SolverConfig(restarts=4, hyperplanes=80, seed=seed))
+        res = solve(g, SolverConfig(restarts=4, hyperplanes=80, seed=seed))
         best = brute_force_cut(g)
         assert res.weight <= best.weight + 1e-9
         ok += res.weight == pytest.approx(best.weight)
@@ -159,7 +135,7 @@ def test_solver_matches_brute_force_small_directed():
         if not g.weights:
             ok += 1
             continue
-        res = solve_directed(g, SolverConfig(restarts=4, hyperplanes=80, seed=seed))
+        res = solve(g, SolverConfig(restarts=4, hyperplanes=80, seed=seed))
         best = brute_force_cut(g)
         assert res.weight <= best.weight + 1e-9
         ok += res.weight == pytest.approx(best.weight)
@@ -174,7 +150,7 @@ def test_oracle_equality_rate_n10():
         if not g.weights:
             hits += 1
             continue
-        res = solve_undirected(g, SolverConfig(restarts=20, hyperplanes=100, seed=seed))
+        res = solve(g, SolverConfig(restarts=20, hyperplanes=100, seed=seed))
         if res.weight == pytest.approx(brute_force_cut(g).weight):
             hits += 1
     assert hits >= 95
@@ -184,7 +160,7 @@ def test_undirected_guarantee_mini():
     for seed in range(12):
         rng = np.random.default_rng((11, seed))
         g = _random_undirected(rng, 11)
-        res = solve_undirected(g, SolverConfig(seed=seed))
+        res = solve(g, SolverConfig(seed=seed))
         best = brute_force_cut(g)
         assert res.weight >= 0.878 * best.weight - 0.122 * g.w_minus - 1e-9
 
@@ -193,7 +169,7 @@ def test_directed_guarantee_mini():
     for seed in range(12):
         rng = np.random.default_rng((13, seed))
         g = _random_directed(rng, 9)
-        res = solve_directed(g, SolverConfig(seed=seed))
+        res = solve(g, SolverConfig(seed=seed))
         best = brute_force_cut(g)
         assert res.weight >= 0.857 * best.weight - 0.143 * g.w_minus - 1e-9
 
@@ -204,11 +180,11 @@ def test_sdp_objective_dominates_weight():
         g = _random_undirected(rng, 9)
         if not g.weights:
             continue
-        res = solve_undirected(g, SolverConfig(restarts=2, hyperplanes=30, seed=seed))
+        res = solve(g, SolverConfig(restarts=2, hyperplanes=30, seed=seed))
         assert res.sdp_objective >= res.weight - 1e-6
         gd = _random_directed(rng, 7)
         if gd.weights:
-            resd = solve_directed(gd, SolverConfig(restarts=2, hyperplanes=30, seed=seed))
+            resd = solve(gd, SolverConfig(restarts=2, hyperplanes=30, seed=seed))
             assert resd.sdp_objective >= resd.weight - 1e-6
 
 
@@ -218,7 +194,7 @@ def test_relaxation_upper_bounds_optimum():
         g = _random_undirected(rng, 8)
         if not g.weights:
             continue
-        res = solve_undirected(g, SolverConfig(seed=seed))
+        res = solve(g, SolverConfig(seed=seed))
         assert res.sdp_objective >= brute_force_cut(g).weight - 1e-6
 
 
@@ -228,16 +204,16 @@ def test_local_search_never_hurts():
         g = _random_undirected(rng, 10)
         if not g.weights:
             continue
-        base = solve_undirected(g, SolverConfig(restarts=3, hyperplanes=40, local_search=False, seed=seed))
-        ls = solve_undirected(g, SolverConfig(restarts=3, hyperplanes=40, local_search=True, seed=seed))
+        base = solve(g, SolverConfig(restarts=3, hyperplanes=40, local_search=False, seed=seed))
+        ls = solve(g, SolverConfig(restarts=3, hyperplanes=40, local_search=True, seed=seed))
         assert ls.weight >= base.weight - 1e-9
 
 
 def test_solver_is_deterministic():
     rng = np.random.default_rng(42)
     g = _random_undirected(rng, 12)
-    a = solve_undirected(g, SolverConfig(seed=5))
-    b = solve_undirected(g, SolverConfig(seed=5))
+    a = solve(g, SolverConfig(seed=5))
+    b = solve(g, SolverConfig(seed=5))
     assert a == b
 
 
@@ -263,22 +239,6 @@ def test_ascent_is_monotone():
         V /= np.linalg.norm(V, axis=1, keepdims=True)
 
 
-def test_embed_returns_unit_rows():
-    rng = np.random.default_rng(3)
-    g = _random_undirected(rng, 8)
-    emb = embed(g, SolverConfig(seed=1))
-    assert emb.v0_index is None
-    assert np.allclose(np.linalg.norm(emb.vectors, axis=1), 1.0)
-    gd = _random_directed(rng, 6)
-    embd = embed(gd, SolverConfig(seed=1))
-    assert embd.v0_index == 0
-    assert embd.vectors.shape[0] == 7
-
-
 def test_solve_dispatches_on_directedness():
     g = _dir(2, {(0, 1): 1.0})
     assert solve(g).weight == 1.0
-    with pytest.raises(ValueError):
-        solve_undirected(g)
-    with pytest.raises(ValueError):
-        solve_directed(_und(2, {(0, 1): 1.0}))
