@@ -110,7 +110,7 @@ def cmd_solve(in_path, out, report_path, seed, restarts, hyperplanes, rotation,
     """Solve an instance file; write the solution and a JSON report."""
     try:
         instance, meta = serialize.obj_to_instance(serialize.read_json(in_path))
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, RecursionError) as e:
         raise click.UsageError(f"cannot parse {in_path}: {e}")
     problems = validate(instance)
     if problems:

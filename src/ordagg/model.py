@@ -568,6 +568,8 @@ def validate_unrooted_tree(t: UnrootedTree, n: int) -> list[str]:
     expected_nodes = 1 if n == 1 else 2 * n - 2
     if t.node_count != expected_nodes:
         out.append("unrooted tree node count is wrong for n leaves")
+    if len(t.leaf_item) != t.node_count:
+        return out + ["unrooted tree items and adjacency differ in length"]
     leaves = [v for v in range(t.node_count) if t.leaf_item[v] >= 0]
     if sorted(t.leaf_item[v] for v in leaves) != list(range(n)):
         out.append("unrooted tree leaf items are not a bijection onto 0..n-1")
@@ -624,6 +626,8 @@ def validate(instance: Instance) -> list[str]:
         return out
     if instance.n < 0:
         out.append("n is negative")
+    elif instance.n == 0 and instance.kind in TREE_KINDS:
+        out.append("a tree needs at least one item")
     legal = KIND_CONSTRAINTS[instance.kind]
     for i, c in enumerate(instance.constraints):
         if not isinstance(c, legal):

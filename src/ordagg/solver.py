@@ -2,12 +2,17 @@
 
 The semidefinite relaxation is optimized in low-rank form: one unit row per
 node (directed graphs add a distinguished row v0), and ascent steps
-V <- row_normalize(M V + c V) with c = max_i sum_j |M_ij|. The shift makes
-M + cI positive semidefinite, so every step increases tr(V^T M V); iteration
-stops on a relative tolerance. Rounding draws a batch of random hyperplanes
-and keeps the best cut; directed rounding can first rotate every row into the
-plane it spans with v0, at the angle f_half of its v0 angle. A greedy
-single-vertex local search polishes the rounded cut.
+V <- row_normalize(M V + c V). The shift c is -lambda_min(M), computed once
+per solve, plus a tiny margin: the smallest shift that keeps M + cI positive
+semidefinite, so every step increases tr(V^T M V) with the largest steps
+that guarantee it (Journee, Bach, Absil and Sepulchre's generalized power
+method). Iteration stops on a relative tolerance. Rounding draws a batch of
+random hyperplanes and keeps the best cut; directed rounding can first rotate
+every row into the plane it spans with v0, at the angle f_half of its v0
+angle. The weight of every hyperplane's cut comes from one product with the
+dense weight matrix, x^T D (1 - x) per 0/1 membership column x, which is
+exact for integer weights. A greedy single-vertex local search polishes the
+rounded cut.
 """
 
 from __future__ import annotations
@@ -67,23 +72,33 @@ def f_half(theta):
 
 
 def _row_normalize(V: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(V, axis=1, keepdims=True)
+    """Scale the rows of V to unit length in place; zero rows stay zero."""
+    norms = np.sqrt(np.einsum("ij,ij->i", V, V))
     norms[norms == 0.0] = 1.0
-    return V / norms
+    V /= norms[:, None]
+    return V
 
 
-def _ascend(M: np.ndarray, const: float, k: int, max_iterations: int, tol: float, rng):
+def _shift(M: np.ndarray) -> float:
+    """Smallest c with M + cI positive semidefinite, plus a margin of 1e-9
+    times the Gershgorin bound against eigenvalue rounding; a zero M (a
+    directed graph whose weights cancel) takes any positive shift."""
+    gershgorin = float(np.abs(M).sum(axis=1).max())
+    lam_min = float(np.linalg.eigvalsh(M)[0])
+    return (max(0.0, -lam_min) + 1e-9 * gershgorin) or 1.0
+
+
+def _ascend(M: np.ndarray, const: float, c: float, k: int, max_iterations: int, tol: float, rng):
     n = M.shape[0]
     V = _row_normalize(rng.standard_normal((n, k)))
-    c = float(np.abs(M).sum(axis=1).max())
     MV = M @ V
-    value = const + float((V * MV).sum())
-    if c <= 0.0:
-        return V, value
+    value = const + float(np.vdot(V, MV))
     for _ in range(max_iterations):
-        V = _row_normalize(MV + c * V)
-        MV = M @ V
-        new = const + float((V * MV).sum())
+        V *= c
+        V += MV
+        _row_normalize(V)
+        np.matmul(M, V, out=MV)
+        new = const + float(np.vdot(V, MV))
         if abs(new - value) <= tol * max(1.0, abs(new)):
             value = new
             break
@@ -114,13 +129,15 @@ def _rotate_to_v0(V: np.ndarray) -> np.ndarray:
     return out
 
 
-def _crossing(x, u, v, directed: bool):
-    """Which edges u -> v cross the cut(s) whose S-membership x has one row per
-    node; indexing here frees the E x hyperplanes masks as soon as they are used."""
-    return x[u] & ~x[v] if directed else x[u] != x[v]
+def _cut_weights(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """x^T D (1 - x) for each column x of the S-membership matrix X (one row
+    per node): the weight of the arcs leaving S, which for a symmetric D is
+    the weight of the undirected edges crossing the cut."""
+    Xf = X.astype(float)
+    return np.einsum("ij,ij->j", Xf, D @ (1.0 - Xf))
 
 
-def _round(V, u, v, w, hyperplanes, rng, directed, rotation):
+def _round(V, D, hyperplanes, rng, directed, rotation):
     """Best of a batch of hyperplane cuts as an S-membership mask; on directed
     graphs S is the side of v0 (row 0), optionally after the rotation."""
     if directed and rotation:
@@ -129,8 +146,7 @@ def _round(V, u, v, w, hyperplanes, rng, directed, rotation):
     side = (V @ H) >= 0.0
     if directed:
         side = side[1:] == side[0][None, :]
-    cuts = w @ _crossing(side, u, v, directed)
-    return side[:, int(np.argmax(cuts))].copy()
+    return side[:, int(np.argmax(_cut_weights(D, side)))].copy()
 
 
 def _local_search_undirected(A, x, max_flips):
@@ -168,7 +184,8 @@ def _local_search_directed(W, x, max_flips):
 
 def _relaxation(g: SignedGraph) -> tuple[np.ndarray, float, np.ndarray]:
     """(M, const, D): the relaxation value is const + tr(V^T M V), and D is
-    the dense weight matrix local search works on (symmetric when undirected).
+    the dense weight matrix that rounding and local search score cuts with
+    (symmetric when undirected).
     Directed graphs put v0 in row 0 of M."""
     n = g.n
     u, v, w = g.edge_arrays
@@ -190,10 +207,10 @@ def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResul
     run r draws from default_rng((seed, r)), seed coming from rng when given."""
     cfg = cfg or SolverConfig()
     n = g.n
-    u, v, w = g.edge_arrays
-    if n == 0 or w.size == 0:
+    if n == 0 or not g.weights:
         return CutResult(frozenset(), 0.0, 0.0, 0, 0)
     M, const, D = _relaxation(g)
+    c = _shift(M)
     local_search = _local_search_directed if g.directed else _local_search_undirected
     k = cfg.rank if cfg.rank is not None else default_rank(n)
     base = cfg.seed if rng is None else int(rng.integers(0, 2**63 - 1))
@@ -202,12 +219,12 @@ def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResul
     best_weight = -math.inf
     for r in range(cfg.restarts):
         rr = np.random.default_rng((base, r))
-        V, val = _ascend(M, const, k, cfg.max_iterations, cfg.tol, rr)
+        V, val = _ascend(M, const, c, k, cfg.max_iterations, cfg.tol, rr)
         best_relax = max(best_relax, val)
-        x = _round(V, u, v, w, cfg.hyperplanes, rr, g.directed, cfg.rotation)
+        x = _round(V, D, cfg.hyperplanes, rr, g.directed, cfg.rotation)
         if cfg.local_search:
             x = local_search(D, x, 10 * n)
-        weight = float(w[_crossing(x, u, v, g.directed)].sum())
+        weight = float(_cut_weights(D, x[:, None])[0])
         if weight > best_weight:
             best_weight = weight
             best_x = x

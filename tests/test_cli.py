@@ -1,14 +1,18 @@
 import csv
 import json
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordagg.analysis import theoretical_bound
 from ordagg.cli import CSV_COLUMNS, main
-from ordagg.model import validate
+from ordagg.model import CONSTRAINT_SPECS, KIND_CONSTRAINTS, KINDS, validate
 from ordagg.serialize import obj_to_instance, obj_to_solution
 
 SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
@@ -142,14 +146,111 @@ _PREC = {"version": 1, "kind": "mas", "n": 3, "constraints": [{"t": "prec", "a":
     {**_PREC, "n": -2, "constraints": []},
     {**_PREC, "n": 3.0},
     [_PREC],
+    {**_PREC, "kind": "triplets", "n": 0, "constraints": []},
+    {**_PREC, "kind": "quartets", "n": 1, "constraints": [],
+     "ground_truth": {"unrooted_tree": {"adjacency": [[]], "items": []}}},
 ], ids=["float-item", "string-item", "bool-item", "float-truth", "bool-truth",
-        "bool-leaf", "float-leaf", "negative-n", "float-n", "top-level-list"])
+        "bool-leaf", "float-leaf", "negative-n", "float-n", "top-level-list",
+        "empty-tree", "items-shorter-than-adjacency"])
 def test_solve_rejects_malformed_input(runner, tmp_path, obj):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     res = runner.invoke(main, ["solve", "--in", str(bad), "--out", str(tmp_path / "s.json")])
     assert res.exit_code == 2, res.output
     assert not (tmp_path / "s.json").exists()
+
+
+def test_solve_rejects_deeply_nested_json(runner, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    res = runner.invoke(main, ["solve", "--in", str(bad), "--out", str(tmp_path / "s.json")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert not (tmp_path / "s.json").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _or_junk(strategy, odds=12):
+    """strategy, or in about one draw in odds an arbitrary JSON value."""
+    return st.integers(1, odds).flatmap(lambda i: _JSON if i == 1 else strategy)
+
+
+_TAGGED = [cls for cls, spec in CONSTRAINT_SPECS.items() if spec.tag is not None]
+_FIELD_NAMES = sorted({f.name for cls in _TAGGED for f in fields(cls)})
+_ITEM = _or_junk(st.integers(-1, 7))
+
+
+def _constraint(tags):
+    """A constraint of one of tags on distinct items, with a junk tag or field
+    now and then; unused fields are ignored by the parser."""
+    items = st.lists(st.integers(0, 6), min_size=len(_FIELD_NAMES), max_size=len(_FIELD_NAMES),
+                     unique=True)
+    return _or_junk(items.flatmap(lambda xs: st.fixed_dictionaries({
+        "t": _or_junk(st.sampled_from(tags)),
+        **{name: _or_junk(st.just(x), odds=40) for name, x in zip(_FIELD_NAMES, xs)},
+    })))
+
+
+_TRUTH = _or_junk(st.one_of(
+    st.fixed_dictionaries({"ranking": st.lists(_ITEM, max_size=7)}),
+    st.fixed_dictionaries({"partition": st.lists(_ITEM, max_size=7)}),
+    st.fixed_dictionaries({"rooted_tree": st.recursive(_ITEM, lambda t: st.tuples(t, t).map(list),
+                                                       max_leaves=7)}),
+    st.fixed_dictionaries({"unrooted_tree": st.fixed_dictionaries({
+        "adjacency": st.lists(st.lists(_ITEM, max_size=3), max_size=10),
+        "items": st.lists(_ITEM | st.none(), max_size=10),
+    })}),
+))
+
+
+def _instance(kind):
+    tags = [CONSTRAINT_SPECS[cls].tag for cls in KIND_CONSTRAINTS[kind]
+            if CONSTRAINT_SPECS[cls].tag is not None]
+    return st.fixed_dictionaries(
+        {
+            "version": _or_junk(st.just(1)),
+            "kind": _or_junk(st.just(kind)),
+            "n": _or_junk(st.integers(-1, 8)),
+            "constraints": _or_junk(st.lists(_constraint(tags), max_size=6)),
+        },
+        optional={
+            "ground_truth": _TRUTH,
+            "meta": _or_junk(st.fixed_dictionaries({}, optional={"eps": _or_junk(st.floats(0, 1))})),
+        },
+    )
+
+
+# near-valid instance objects of every kind, each part sometimes replaced by junk
+_INSTANCE = _or_junk(st.sampled_from(KINDS).flatmap(_instance))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INSTANCE)
+def test_obj_to_instance_fails_only_with_parse_errors(obj):
+    # the errors solve's parse handler maps to exit 2
+    try:
+        obj_to_instance(obj)
+    except (ValueError, KeyError, TypeError):
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(_INSTANCE, st.booleans())
+def test_solve_exits_0_or_2_on_any_json(obj, recursive):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(obj))
+        args = ["solve", "--in", str(path), "--out", str(Path(tmp) / "s.json"),
+                "--restarts", "1", "--hyperplanes", "8"]
+        res = CliRunner().invoke(main, args + ["--recursive"] * recursive)
+    assert res.exit_code in (0, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
 
 
 @pytest.mark.parametrize("args", [

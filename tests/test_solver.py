@@ -7,6 +7,10 @@ from ordagg.graph import SignedGraph, cut_weight
 from ordagg.solver import (
     CutResult,
     SolverConfig,
+    _ascend,
+    _cut_weights,
+    _relaxation,
+    _shift,
     brute_force_cut,
     default_rank,
     f_half,
@@ -217,26 +221,59 @@ def test_solver_is_deterministic():
     assert a == b
 
 
+def _random_graphs(salt, count):
+    for seed in range(count):
+        rng = np.random.default_rng((salt, seed))
+        yield _random_undirected(rng, 10)
+        yield _random_directed(rng, 9)
+
+
+def test_shift_is_the_smallest_that_makes_the_relaxation_psd():
+    for g in _random_graphs(29, 10):
+        if not g.weights:
+            continue
+        M, _, _ = _relaxation(g)
+        c = _shift(M)
+        lam = np.linalg.eigvalsh(M + c * np.eye(len(M)))[0]
+        # PSD, and only the 1e-9 Gershgorin margin above the boundary
+        assert 0.0 <= lam <= 1e-8 * np.abs(M).sum(axis=1).max()
+
+
+def test_shift_is_positive_when_the_relaxation_vanishes():
+    # a directed cycle of arcs whose opposite arcs cancel them leaves M = 0
+    g = _dir(3, {(0, 1): 1, (1, 0): -1, (1, 2): 1, (2, 1): -1, (2, 0): 1, (0, 2): -1})
+    M, _, _ = _relaxation(g)
+    assert not M.any()
+    assert _shift(M) > 0.0
+
+
 def test_ascent_is_monotone():
-    # the relaxation value of successive iterates never decreases
-    rng = np.random.default_rng(0)
-    g = _random_undirected(rng, 10)
-    u, v, w = g.edge_arrays
-    A = np.zeros((10, 10))
-    A[u, v] = w
-    A[v, u] = w
-    M = -0.25 * A
-    const = 0.5 * float(w.sum())
-    c = float(np.abs(M).sum(axis=1).max())
-    V = rng.standard_normal((10, 5))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    prev = -np.inf
-    for _ in range(200):
-        val = const + float((V * (M @ V)).sum())
-        assert val >= prev - 1e-9
-        prev = val
-        V = M @ V + c * V
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
+    # the relaxation value after t steps from the same start never decreases in t
+    for g in _random_graphs(0, 3):
+        if not g.weights:
+            continue
+        M, const, _ = _relaxation(g)
+        c = _shift(M)
+        values = [_ascend(M, const, c, 5, t, 0.0, np.random.default_rng(3))[1]
+                  for t in range(1, 61)]
+        for a, b in zip(values, values[1:]):
+            assert b >= a - 1e-9 * abs(a)
+
+
+def test_cut_weights_match_edge_sums():
+    # exact for integer weights, so argmax over hyperplanes breaks ties as an
+    # edge-by-edge sum would
+    for g in _random_graphs(31, 10):
+        if not g.weights:
+            continue
+        rng = np.random.default_rng(len(g.weights))
+        u, v, w = g.edge_arrays
+        _, _, D = _relaxation(g)
+        X = rng.random((g.n, 64)) < 0.5
+        X[:, 0] = False
+        X[:, 1] = True
+        crossing = X[u] & ~X[v] if g.directed else X[u] != X[v]
+        assert np.array_equal(_cut_weights(D, X), w @ crossing)
 
 
 def test_solve_dispatches_on_directedness():
