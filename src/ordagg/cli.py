@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 import sys
 import time
@@ -41,6 +42,13 @@ def _generator_config(kind, n, m, m1, m2, eps, eps1, eps2, balanced, seed):
         raise click.UsageError(str(e))
 
 
+def _make_instance(cfg: generator.GeneratorConfig):
+    try:
+        return generator.make_instance(cfg)
+    except (ValueError, RuntimeError) as e:
+        raise click.UsageError(str(e))
+
+
 def _meta_for(cfg: generator.GeneratorConfig) -> dict:
     meta = {"kind": cfg.kind, "n": cfg.n, "balanced": cfg.balanced, "seed": cfg.seed}
     if cfg.kind in TREE_KINDS:
@@ -66,10 +74,7 @@ def _meta_for(cfg: generator.GeneratorConfig) -> dict:
 def cmd_gen(kind, n, m, m1, m2, eps, eps1, eps2, balanced, seed, hide_truth, out):
     """Write one planted instance as JSON."""
     cfg = _generator_config(kind, n, m, m1, m2, eps, eps1, eps2, balanced, seed)
-    try:
-        inst = generator.make_instance(cfg)
-    except (ValueError, RuntimeError) as e:
-        raise click.UsageError(str(e))
+    inst = _make_instance(cfg)
     obj = serialize.instance_to_obj(inst, meta=_meta_for(cfg), include_truth=not hide_truth)
     serialize.write_json(out, obj)
 
@@ -93,16 +98,24 @@ def _solve_instance(instance, scfg: solver.SolverConfig, dcfg: decoder.DecodeCon
     return cut, sol
 
 
+def _finite(ctx, param, value):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 @main.command("solve")
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--report", "report_path", default=None, type=click.Path(dir_okay=False))
-@click.option("--seed", default=0, type=int)
-@click.option("--restarts", default=8, type=int)
-@click.option("--hyperplanes", default=200, type=int)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
+@click.option("--restarts", default=8, type=click.IntRange(min=1),
+              help="rounding rounds over the one relaxation ascent, best cut kept")
+@click.option("--hyperplanes", default=200, type=click.IntRange(min=1),
+              help="random hyperplanes per rounding round")
 @click.option("--rotation/--no-rotation", default=True)
 @click.option("--recursive", is_flag=True)
-@click.option("--cc-weight", default=-1.0, type=float)
+@click.option("--cc-weight", default=-1.0, type=float, callback=_finite)
 @click.option("--cc-baseline", default="best-of-trivial",
               type=click.Choice(["best-of-trivial", "recursive-cut"]))
 def cmd_solve(in_path, out, report_path, seed, restarts, hyperplanes, rotation,
@@ -126,6 +139,8 @@ def cmd_solve(in_path, out, report_path, seed, restarts, hyperplanes, rotation,
     report = {
         "cut_weight": cut.weight,
         "sdp_objective": cut.sdp_objective,
+        "ascent_iterations": cut.ascent_iterations,
+        "converged": cut.converged,
         "satisfied": sc.satisfied,
         "total": sc.total,
     }
@@ -152,15 +167,17 @@ CSV_COLUMNS = [
 _BENCH_SOLVER = solver.SolverConfig(restarts=4, hyperplanes=100, max_iterations=800)
 
 
-def _bench_cell(kind: str, n: int, m: int, eps: float, seed: int, balanced: bool) -> dict:
+def _bench_config(kind: str, n: int, m: int, eps: float, seed: int, balanced: bool):
+    """A bench cell's generator config; tree kinds split m in half per class."""
     if kind in TREE_KINDS:
-        cfg = generator.GeneratorConfig(kind=kind, n=n, m1=m // 2, m2=m - m // 2,
-                                        eps1=eps, eps2=eps, balanced=balanced, seed=seed)
-    else:
-        cfg = generator.GeneratorConfig(kind=kind, n=n, m=m, eps=eps,
-                                        balanced=balanced, seed=seed)
+        return _generator_config(kind, n, 0, m // 2, m - m // 2, 0.0, eps, eps, balanced, seed)
+    return _generator_config(kind, n, m, 0, 0, eps, 0.0, 0.0, balanced, seed)
+
+
+def _bench_cell(cfg: generator.GeneratorConfig) -> dict:
+    kind, n, seed = cfg.kind, cfg.n, cfg.seed
     t0 = time.perf_counter()
-    inst = generator.make_instance(cfg)
+    inst = _make_instance(cfg)
     scfg = solver.SolverConfig(restarts=_BENCH_SOLVER.restarts,
                                hyperplanes=_BENCH_SOLVER.hyperplanes,
                                max_iterations=_BENCH_SOLVER.max_iterations,
@@ -173,7 +190,8 @@ def _bench_cell(kind: str, n: int, m: int, eps: float, seed: int, balanced: bool
     baseline = score(inst, random_solution(kind, n, rng))
     bound = _bound_from_meta(kind, _meta_for(cfg), inst)
     row = {
-        "kind": kind, "n": n, "m": m, "eps": eps, "seed": seed, "row_type": "data",
+        "kind": kind, "n": n, "m": cfg.m + cfg.m1 + cfg.m2,
+        "eps": cfg.eps1 if kind in TREE_KINDS else cfg.eps, "seed": seed, "row_type": "data",
         "satisfied_fraction": sc.fraction, "satisfied_fraction_std": "",
         "bound_fraction": "" if bound is None or sc.total == 0 else bound / sc.total,
         "random_baseline_fraction": baseline.fraction,
@@ -229,13 +247,14 @@ def cmd_bench(kinds, n, m, eps_grid, seeds, balanced, out):
         raise click.UsageError(f"--eps-grid rates must lie in [0, 1]: {eps_grid!r}")
     if seeds < 1:
         raise click.UsageError("--seeds must be positive")
-    cells = [(k, e, s) for k in kind_list for e in eps_list for s in range(seeds)]
+    cells = [_bench_config(k, n, m, e, s, balanced)
+             for k in kind_list for e in eps_list for s in range(seeds)]
     workers = int(os.environ.get("ORDAGG_THREADS", "1") or "1")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            data = list(pool.map(lambda c: _bench_cell(c[0], n, m, c[1], c[2], balanced), cells))
+            data = list(pool.map(_bench_cell, cells))
     else:
-        data = [_bench_cell(k, n, m, e, s, balanced) for k, e, s in cells]
+        data = [_bench_cell(cfg) for cfg in cells]
     rows: list[dict] = []
     for k in kind_list:
         for e in eps_list:
@@ -263,7 +282,7 @@ _ORACLE_SOLVER = solver.SolverConfig(restarts=2, hyperplanes=40, max_iterations=
 @click.option("--eps", default=0.0, type=float)
 @click.option("--eps1", default=0.0, type=float)
 @click.option("--eps2", default=0.0, type=float)
-@click.option("--count", default=20, type=int)
+@click.option("--count", default=20, type=click.IntRange(min=0))
 @click.option("--seed", default=0, type=int)
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 def cmd_oracle(kind, n, m, m1, m2, eps, eps1, eps2, count, seed, out):
@@ -275,23 +294,24 @@ def cmd_oracle(kind, n, m, m1, m2, eps, eps1, eps2, count, seed, out):
     rho = _ORACLE_RHO.get(kind)
     if kind in TREE_KINDS and (m1 + m2) > 0:
         rho = (2.0 / 3.0 * m1 + 1.0 / 3.0 * m2) / (m1 + m2)
+    configs = [_generator_config(kind, n, m, m1, m2, eps, eps1, eps2, False, seed + i)
+               for i in range(count)]
     cells = []
     flagged = 0
-    for i in range(count):
-        cfg = _generator_config(kind, n, m, m1, m2, eps, eps1, eps2, False, seed + i)
-        inst = generator.make_instance(cfg)
+    for cfg in configs:
+        inst = _make_instance(cfg)
         _, best_score = oracle_best(inst)
         scfg = solver.SolverConfig(restarts=_ORACLE_SOLVER.restarts,
                                    hyperplanes=_ORACLE_SOLVER.hyperplanes,
                                    max_iterations=_ORACLE_SOLVER.max_iterations,
-                                   seed=seed + i)
-        dcfg = decoder.DecodeConfig(seed=seed + i)
+                                   seed=cfg.seed)
+        dcfg = decoder.DecodeConfig(seed=cfg.seed)
         _, sol = _solve_instance(inst, scfg, dcfg)
         sc = score(inst, sol)
-        rng = np.random.default_rng((seed + i, 2))
+        rng = np.random.default_rng((cfg.seed, 2))
         base = score(inst, random_solution(kind, n, rng))
         cell = {
-            "seed": seed + i,
+            "seed": cfg.seed,
             "oracle_satisfied": best_score.satisfied,
             "solver_satisfied": sc.satisfied,
             "random_satisfied": base.satisfied,

@@ -64,6 +64,8 @@ class GeneratorConfig:
             raise ValueError(f"unknown kind {self.kind}")
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for name in ("eps", "eps1", "eps2"):
             e = getattr(self, name)
             if not 0.0 <= e <= 1.0:

@@ -6,13 +6,18 @@ V <- row_normalize(M V + c V). The shift c is -lambda_min(M), computed once
 per solve, plus a tiny margin: the smallest shift that keeps M + cI positive
 semidefinite, so every step increases tr(V^T M V) with the largest steps
 that guarantee it (Journee, Bach, Absil and Sepulchre's generalized power
-method). Iteration stops on a relative tolerance. Rounding draws a batch of
-random hyperplanes and keeps the best cut; directed rounding can first rotate
-every row into the plane it spans with v0, at the angle f_half of its v0
-angle. The weight of every hyperplane's cut comes from one product with the
-dense weight matrix, x^T D (1 - x) per 0/1 membership column x, which is
-exact for integer weights. A greedy single-vertex local search polishes the
-rounded cut.
+method). Iteration stops on a relative tolerance. Each solve runs this ascent
+once: at rank about sqrt(2n) it has no spurious local optima for generic
+costs (Boumal, Voroninski and Bandeira), and hyperplane rounding is invariant
+under rotations of V, so a second ascent would add no variety that rounding
+does not.
+Each of the `restarts` rounding rounds then draws a batch of random
+hyperplanes from that one V and keeps the best cut; directed rounding can
+first rotate every row into the plane it spans with v0, at the angle f_half
+of its v0 angle. The weight of every hyperplane's cut comes from one product
+with the dense weight matrix, x^T D (1 - x) per 0/1 membership column x,
+which is exact for integer weights. A greedy single-vertex local search
+polishes each round's cut, and the best round wins.
 """
 
 from __future__ import annotations
@@ -59,6 +64,10 @@ class CutResult:
     sdp_objective: float
     restarts_used: int
     rounds_used: int
+    # steps of the relaxation ascent, and whether it met tol before
+    # max_iterations; a solve without an ascent (no edges) has nothing to climb
+    ascent_iterations: int = 0
+    converged: bool = True
 
 
 def f_half(theta):
@@ -89,21 +98,23 @@ def _shift(M: np.ndarray) -> float:
 
 
 def _ascend(M: np.ndarray, const: float, c: float, k: int, max_iterations: int, tol: float, rng):
+    """(V, value, steps, converged): the ascent from a random rank-k start
+    until a step gains at most tol relative, or for max_iterations steps."""
     n = M.shape[0]
     V = _row_normalize(rng.standard_normal((n, k)))
     MV = M @ V
     value = const + float(np.vdot(V, MV))
-    for _ in range(max_iterations):
+    for step in range(1, max_iterations + 1):
         V *= c
         V += MV
         _row_normalize(V)
         np.matmul(M, V, out=MV)
         new = const + float(np.vdot(V, MV))
-        if abs(new - value) <= tol * max(1.0, abs(new)):
-            value = new
-            break
+        converged = abs(new - value) <= tol * max(1.0, abs(new))
         value = new
-    return V, value
+        if converged:
+            return V, value, step, True
+    return V, value, max_iterations, False
 
 
 def _rotate_to_v0(V: np.ndarray) -> np.ndarray:
@@ -137,11 +148,9 @@ def _cut_weights(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", Xf, D @ (1.0 - Xf))
 
 
-def _round(V, D, hyperplanes, rng, directed, rotation):
+def _round(V, D, hyperplanes, rng, directed):
     """Best of a batch of hyperplane cuts as an S-membership mask; on directed
-    graphs S is the side of v0 (row 0), optionally after the rotation."""
-    if directed and rotation:
-        V = _rotate_to_v0(V)
+    graphs S is the side of v0 (row 0)."""
     H = rng.standard_normal((V.shape[1], hyperplanes))
     side = (V @ H) >= 0.0
     if directed:
@@ -203,25 +212,28 @@ def _relaxation(g: SignedGraph) -> tuple[np.ndarray, float, np.ndarray]:
 
 
 def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResult:
-    """Best cut over cfg.restarts runs of ascent, rounding and local search;
-    run r draws from default_rng((seed, r)), seed coming from rng when given."""
+    """One ascent, then the best cut over cfg.restarts rounds of rounding and
+    local search from its V. Round 0 draws the ascent's start and then its
+    hyperplanes from default_rng((seed, 0)); round r >= 1 draws its hyperplanes
+    from default_rng((seed, r)); seed comes from rng when given."""
     cfg = cfg or SolverConfig()
     n = g.n
     if n == 0 or not g.weights:
         return CutResult(frozenset(), 0.0, 0.0, 0, 0)
     M, const, D = _relaxation(g)
-    c = _shift(M)
     local_search = _local_search_directed if g.directed else _local_search_undirected
     k = cfg.rank if cfg.rank is not None else default_rank(n)
     base = cfg.seed if rng is None else int(rng.integers(0, 2**63 - 1))
-    best_relax = -math.inf
+    rr = np.random.default_rng((base, 0))
+    V, relax, steps, converged = _ascend(M, const, _shift(M), k, cfg.max_iterations, cfg.tol, rr)
+    if g.directed and cfg.rotation:
+        V = _rotate_to_v0(V)
     best_x = None
     best_weight = -math.inf
     for r in range(cfg.restarts):
-        rr = np.random.default_rng((base, r))
-        V, val = _ascend(M, const, c, k, cfg.max_iterations, cfg.tol, rr)
-        best_relax = max(best_relax, val)
-        x = _round(V, D, cfg.hyperplanes, rr, g.directed, cfg.rotation)
+        if r:
+            rr = np.random.default_rng((base, r))
+        x = _round(V, D, cfg.hyperplanes, rr, g.directed)
         if cfg.local_search:
             x = local_search(D, x, 10 * n)
         weight = float(_cut_weights(D, x[:, None])[0])
@@ -230,7 +242,8 @@ def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResul
             best_x = x
     S = frozenset(int(i) for i in np.nonzero(best_x)[0])
     weight = cut_weight(g, S)
-    return CutResult(S, weight, max(best_relax, weight), cfg.restarts, cfg.restarts * cfg.hyperplanes)
+    return CutResult(S, weight, max(relax, weight), cfg.restarts,
+                     cfg.restarts * cfg.hyperplanes, steps, converged)
 
 
 def brute_force_cut(g: SignedGraph) -> CutResult:

@@ -130,9 +130,10 @@ def test_solve_rejects_wrong_version(runner, tmp_path):
 
 
 _PREC = {"version": 1, "kind": "mas", "n": 3, "constraints": [{"t": "prec", "a": 0, "b": 1}]}
+_CC = {"version": 1, "kind": "cc", "n": 3,
+       "constraints": [{"t": "ml", "a": 0, "b": 1}, {"t": "cl", "a": 1, "b": 2}]}
 
-
-@pytest.mark.parametrize("obj", [
+_MALFORMED_FILES = [
     {**_PREC, "constraints": [{"t": "prec", "a": 1.7, "b": 0}]},
     {**_PREC, "constraints": [{"t": "prec", "a": "1", "b": 0}]},
     {**_PREC, "constraints": [{"t": "prec", "a": True, "b": 0}]},
@@ -149,15 +150,45 @@ _PREC = {"version": 1, "kind": "mas", "n": 3, "constraints": [{"t": "prec", "a":
     {**_PREC, "kind": "triplets", "n": 0, "constraints": []},
     {**_PREC, "kind": "quartets", "n": 1, "constraints": [],
      "ground_truth": {"unrooted_tree": {"adjacency": [[]], "items": []}}},
-], ids=["float-item", "string-item", "bool-item", "float-truth", "bool-truth",
-        "bool-leaf", "float-leaf", "negative-n", "float-n", "top-level-list",
-        "empty-tree", "items-shorter-than-adjacency"])
-def test_solve_rejects_malformed_input(runner, tmp_path, obj):
+]
+_MALFORMED_FLAGS = [
+    (_PREC, ["--restarts", "0"]),
+    (_PREC, ["--hyperplanes", "0"]),
+    (_PREC, ["--seed", "-1"]),
+    (_CC, ["--cc-weight", "nan"]),
+    (_CC, ["--cc-weight", "inf"]),
+    (_CC, ["--cc-weight", "-inf"]),
+]
+
+
+@pytest.mark.parametrize(
+    "obj, flags", [(obj, []) for obj in _MALFORMED_FILES] + _MALFORMED_FLAGS,
+    ids=["float-item", "string-item", "bool-item", "float-truth", "bool-truth",
+         "bool-leaf", "float-leaf", "negative-n", "float-n", "top-level-list",
+         "empty-tree", "items-shorter-than-adjacency",
+         "restarts-0", "hyperplanes-0", "negative-seed", "cc-weight-nan", "cc-weight-inf",
+         "cc-weight-minus-inf"])
+def test_solve_rejects_malformed_input(runner, tmp_path, obj, flags):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
-    res = runner.invoke(main, ["solve", "--in", str(bad), "--out", str(tmp_path / "s.json")])
+    res = runner.invoke(main, ["solve", "--in", str(bad), "--out", str(tmp_path / "s.json"),
+                               *flags])
     assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
     assert not (tmp_path / "s.json").exists()
+
+
+def test_solve_reports_a_converged_ascent(runner, tmp_path):
+    inst = tmp_path / "mas.json"
+    res = runner.invoke(main, ["gen", "--kind", "mas", "--n", "150", "--m", "5000",
+                               "--eps", "0.1", "--seed", "1", "--out", str(inst)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["solve", "--in", str(inst), "--out", str(tmp_path / "s.json")])
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "s.report.json").read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert report["converged"] is True
+    assert 0 < report["ascent_iterations"] < 2000
 
 
 def test_solve_rejects_deeply_nested_json(runner, tmp_path):
@@ -334,6 +365,27 @@ def test_bench_rejects_unknown_kind(runner, tmp_path):
     res = runner.invoke(main, ["bench", "--kinds", "mas,ranked", "--n", "6", "--m", "5",
                                "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["bench", "--kinds", "mas", "--n", "0", "--m", "4"],
+    ["bench", "--kinds", "mas", "--n", "-2", "--m", "4"],
+    ["bench", "--kinds", "mas", "--n", "5", "--m", "-1"],
+    ["bench", "--kinds", "triplets", "--n", "5", "--m", "-1"],
+    ["bench", "--kinds", "btw", "--n", "2", "--m", "4"],
+    ["oracle", "--kind", "mas", "--n", "4", "--m", "5", "--seed", "-1"],
+    ["oracle", "--kind", "mas", "--n", "4", "--m", "5", "--count", "-1"],
+    ["oracle", "--kind", "mas", "--n", "0", "--m", "5"],
+    ["oracle", "--kind", "btw", "--n", "2", "--m", "5"],
+], ids=["bench-n-0", "bench-negative-n", "bench-negative-m", "bench-tree-negative-m",
+        "bench-arity", "oracle-negative-seed", "oracle-negative-count", "oracle-n-0",
+        "oracle-arity"])
+def test_bench_and_oracle_reject_invalid_config(runner, tmp_path, args):
+    out = tmp_path / "out"
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert not out.exists()
 
 
 def test_oracle_report(runner, tmp_path):

@@ -38,6 +38,8 @@ def test_config_rejects_bad_inputs():
         GeneratorConfig(kind="triplets", n=5, m=3)
     with pytest.raises(ValueError):
         GeneratorConfig(kind="cc", n=2, balanced=True)
+    with pytest.raises(ValueError, match="seed"):
+        GeneratorConfig(kind="mas", n=5, seed=-1)
 
 
 def test_generation_is_deterministic():

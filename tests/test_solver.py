@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ordagg import solver
 from ordagg.graph import SignedGraph, cut_weight
 from ordagg.solver import (
     CutResult,
@@ -215,10 +216,10 @@ def test_local_search_never_hurts():
 
 def test_solver_is_deterministic():
     rng = np.random.default_rng(42)
-    g = _random_undirected(rng, 12)
-    a = solve(g, SolverConfig(seed=5))
-    b = solve(g, SolverConfig(seed=5))
-    assert a == b
+    for g in [_random_undirected(rng, 12), *_random_graphs(43, 2)]:
+        a = solve(g, SolverConfig(seed=5))
+        b = solve(g, SolverConfig(seed=5))
+        assert a == b
 
 
 def _random_graphs(salt, count):
@@ -226,6 +227,50 @@ def _random_graphs(salt, count):
         rng = np.random.default_rng((salt, seed))
         yield _random_undirected(rng, 10)
         yield _random_directed(rng, 9)
+
+
+@pytest.mark.parametrize("restarts", [1, 8])
+def test_solve_runs_one_ascent(monkeypatch, restarts):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(_ascend(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(solver, "_ascend", counting)
+    for g in _random_graphs(37, 2):
+        if not g.weights:
+            continue
+        calls.clear()
+        res = solve(g, SolverConfig(restarts=restarts, seed=3))
+        assert len(calls) == 1
+        _, value, steps, converged = calls[0]
+        assert res.sdp_objective == max(value, res.weight)
+        assert (res.ascent_iterations, res.converged) == (steps, converged)
+        assert res.restarts_used == restarts
+
+
+def test_more_rounds_never_lose():
+    # round 0 is the same at any restart count, so more rounds only add cuts
+    for g in _random_graphs(41, 6):
+        one = solve(g, SolverConfig(restarts=1, hyperplanes=5, seed=2))
+        eight = solve(g, SolverConfig(restarts=8, hyperplanes=5, seed=2))
+        assert eight.weight >= one.weight
+        assert eight.sdp_objective == max(one.sdp_objective, eight.weight)
+
+
+def test_ascent_reports_its_steps_and_convergence():
+    for g in _random_graphs(43, 3):
+        if not g.weights:
+            continue
+        M, const, _ = _relaxation(g)
+        c = _shift(M)
+        _, value, steps, converged = _ascend(M, const, c, 5, 2000, 1e-7, np.random.default_rng(4))
+        assert converged and 2 <= steps < 2000
+        # one step fewer stops at the cap instead, below the converged value
+        _, before, *rest = _ascend(M, const, c, 5, steps - 1, 1e-7, np.random.default_rng(4))
+        assert rest == [steps - 1, False]
+        assert before <= value + 1e-9 * abs(value)
 
 
 def test_shift_is_the_smallest_that_makes_the_relaxation_psd():
