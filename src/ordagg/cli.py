@@ -92,6 +92,12 @@ def _bound_from_meta(kind: str, meta: dict, instance) -> float | None:
 
 def _solve_instance(instance, scfg: solver.SolverConfig, dcfg: decoder.DecodeConfig):
     g = graph.build(instance, cc_mustlink_weight=dcfg.cc_mustlink_weight)
+    # the total absolute weight bounds every sum the relaxation, rounding and
+    # local search take
+    with np.errstate(over="ignore"):
+        if not math.isfinite(float(np.abs(g.edge_arrays[2]).sum())):
+            w = dcfg.cc_mustlink_weight
+            raise click.UsageError(f"--cc-weight {w:g} makes the graph's total weight overflow")
     cut = solver.solve(g, scfg)
     rng = np.random.default_rng((dcfg.seed, 1))
     sol = decoder.decode(instance, cut, dcfg, rng)
@@ -224,6 +230,18 @@ def _aggregate(rows: list[dict]) -> dict:
     return agg
 
 
+def _threads() -> int:
+    """Bench worker threads from ORDAGG_THREADS: unset or empty means 1."""
+    raw = os.environ.get("ORDAGG_THREADS") or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise click.UsageError(f"ORDAGG_THREADS must be a positive integer, not {raw!r}")
+    return workers
+
+
 @main.command("bench")
 @click.option("--kinds", required=True, help="comma separated, e.g. mas,btw")
 @click.option("--n", required=True, type=int)
@@ -249,7 +267,7 @@ def cmd_bench(kinds, n, m, eps_grid, seeds, balanced, out):
         raise click.UsageError("--seeds must be positive")
     cells = [_bench_config(k, n, m, e, s, balanced)
              for k in kind_list for e in eps_list for s in range(seeds)]
-    workers = int(os.environ.get("ORDAGG_THREADS", "1") or "1")
+    workers = _threads()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             data = list(pool.map(_bench_cell, cells))

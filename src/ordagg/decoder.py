@@ -24,9 +24,7 @@ from .evaluator import (
 )
 from .graph import build
 from .model import (
-    CannotLink,
     Instance,
-    MustLink,
     Partition,
     Ranking,
     RootedBinaryTree,
@@ -125,31 +123,20 @@ def decode_ranking(instance: Instance, cut: CutResult, cfg: DecodeConfig | None 
     return Ranking(tuple(first + second))
 
 
-def _trivial_partition(sub: Instance) -> list[int]:
-    """Better of one big cluster vs all singletons; ties keep one cluster."""
-    same = sum(isinstance(c, MustLink) for c in sub.constraints)
-    diff = sum(isinstance(c, CannotLink) for c in sub.constraints)
-    if diff > same:
-        return list(range(sub.n))
-    return [0] * sub.n
+def _cluster_side(sub: Instance, cfg: DecodeConfig, rng) -> tuple[int, ...]:
+    """The better of one cluster and all singletons (ties keep one cluster);
+    with the recursive-cut baseline, a recursive split of the side instead
+    when it scores at least as well."""
+    def satisfied(p: Partition) -> int:
+        return score(sub, p).satisfied
 
-
-def _partition_score(sub: Instance, labels: list[int]) -> int:
-    score = 0
-    for c in sub.constraints:
-        same = labels[c.a] == labels[c.b]
-        score += same if isinstance(c, MustLink) else not same
-    return score
-
-
-def _cluster_side(sub: Instance, cfg: DecodeConfig, rng) -> list[int]:
-    trivial = _trivial_partition(sub)
+    trivial = max((Partition((0,) * sub.n), Partition(tuple(range(sub.n)))), key=satisfied)
     if cfg.inner_cc_baseline != "recursive-cut" or not _recursion_applies(cfg, sub):
-        return trivial
+        return trivial.labels
     inner = _inner_solve(sub, cfg, rng)
     S, T = _split(sub, inner)
     if not S or not T:
-        return trivial
+        return trivial.labels
     labels = [0] * sub.n
     offset = 0
     for side in (S, T):
@@ -158,9 +145,7 @@ def _cluster_side(sub: Instance, cfg: DecodeConfig, rng) -> list[int]:
         for item, l in zip(side, side_labels):
             labels[item] = l + offset
         offset += max(side_labels) + 1
-    if _partition_score(sub, labels) >= _partition_score(sub, trivial):
-        return labels
-    return trivial
+    return max((Partition(tuple(labels)), trivial), key=satisfied).labels
 
 
 def decode_partition(instance: Instance, cut: CutResult, cfg: DecodeConfig | None = None, rng=None) -> Partition:

@@ -1,44 +1,42 @@
-"""Exact satisfaction semantics, brute-force oracles, and uniform samplers.
+"""Scoring, brute-force oracles, and uniform samplers.
 
-satisfies() is the single source of truth for what each constraint means
-against each solution structure. score() counts satisfied constraints, with
-vectorized paths for rankings, partitions, and quartet sets. The enumeration
-oracles walk every solution of a tiny instance; the samplers draw uniform
-random solutions (leaf-insertion for trees, which is uniform over the
+What a constraint means is its class's predicate in model.CONSTRAINT_SPECS,
+read against the solution's array encoding (model.encode). satisfies() is the
+one-constraint case; score() and count_satisfied() run each class's predicate
+once over the stacked item columns of its constraints; oracle_best() runs it
+once over a stack of the encodings of every enumerated solution. The
+enumeration oracles walk every solution of a tiny instance; the samplers draw
+uniform random solutions (leaf-insertion for trees, which is uniform over the
 (2n-3)!! rooted and (2n-5)!! unrooted topologies).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .model import (
-    Between,
-    CannotLink,
+    CONSTRAINT_SPECS,
     Constraint,
-    DesiredQuartet,
-    DesiredTriplet,
-    ForbiddenQuartet,
-    ForbiddenTriplet,
-    FourNonSeparated,
-    FourSeparated,
     Instance,
-    MustLink,
-    NotBetween,
     Partition,
-    Precedes,
     Ranking,
     RootedBinaryTree,
     SOLUTION_TYPE,
     Solution,
     UnrootedTree,
+    encode,
+    group,
 )
 
 ORACLE_CAPS = {"mas": 8, "btw": 8, "nonbtw": 8, "cc": 8, "triplets": 6, "quartets": 7}
+
+# predicate cells per oracle batch: enumerated solutions x constraints
+_ORACLE_BATCH = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -53,101 +51,17 @@ class Score:
         return self.satisfied / self.total
 
 
-def _obeys_triplet(t: RootedBinaryTree, a: int, b: int, out: int) -> bool:
-    # ab|out holds iff the a,b ancestor sits strictly below the three-way LCA
-    leaf = t.leaf_of_item
-    lab = t.lca(leaf[a], leaf[b])
-    return lab != t.lca(lab, leaf[out])
-
-
-def _obeys_quartet(t: UnrootedTree, a: int, b: int, c: int, d: int) -> bool:
-    # ab|cd holds iff the a-b and c-d paths are vertex disjoint, which in a
-    # trivalent tree is the strict four-point condition on path lengths
-    dist = t.leaf_distances
-    own = dist[a, b] + dist[c, d]
-    return own < dist[a, c] + dist[b, d] and own < dist[a, d] + dist[b, c]
-
-
 def satisfies(c: Constraint, s: Solution) -> bool:
-    if isinstance(c, Precedes):
-        pos = s.position
-        return bool(pos[c.a] < pos[c.b])
-    if isinstance(c, Between):
-        pos = s.position
-        pa, pb, pc = pos[c.a], pos[c.b], pos[c.c]
-        return bool(pa < pb < pc or pc < pb < pa)
-    if isinstance(c, NotBetween):
-        pos = s.position
-        pa, pb, po = pos[c.a], pos[c.b], pos[c.out]
-        return not (min(pa, pb) < po < max(pa, pb))
-    if isinstance(c, FourSeparated):
-        pos = s.position
-        pa, pb, pc, pd = pos[c.a], pos[c.b], pos[c.c], pos[c.d]
-        return bool(max(pa, pb) < min(pc, pd) or max(pc, pd) < min(pa, pb))
-    if isinstance(c, FourNonSeparated):
-        pos = s.position
-        pa, pb, pc, pd = pos[c.a], pos[c.b], pos[c.c], pos[c.d]
-        return not (max(pa, pb) < min(pc, pd) or max(pc, pd) < min(pa, pb))
-    if isinstance(c, MustLink):
-        return s.labels[c.a] == s.labels[c.b]
-    if isinstance(c, CannotLink):
-        return s.labels[c.a] != s.labels[c.b]
-    if isinstance(c, DesiredTriplet):
-        return _obeys_triplet(s, c.a, c.b, c.out)
-    if isinstance(c, ForbiddenTriplet):
-        return not _obeys_triplet(s, c.a, c.b, c.out)
-    if isinstance(c, DesiredQuartet):
-        return _obeys_quartet(s, c.a, c.b, c.c, c.d)
-    if isinstance(c, ForbiddenQuartet):
-        return not _obeys_quartet(s, c.a, c.b, c.c, c.d)
-    raise TypeError(f"unknown constraint {c!r}")
+    return bool(CONSTRAINT_SPECS[type(c)].holds(encode(s), *c.items()))
 
 
-# vectorized per-class counters for array-backed solutions
-
-
-def _count_prec(A: np.ndarray, pos: np.ndarray) -> int:
-    return int(np.count_nonzero(pos[A[:, 0]] < pos[A[:, 1]]))
-
-
-def _count_btw(A: np.ndarray, pos: np.ndarray) -> int:
-    pa, pb, pc = pos[A[:, 0]], pos[A[:, 1]], pos[A[:, 2]]
-    return int(np.count_nonzero(((pa < pb) & (pb < pc)) | ((pc < pb) & (pb < pa))))
-
-
-def _count_nbtw(A: np.ndarray, pos: np.ndarray) -> int:
-    pa, pb, po = pos[A[:, 0]], pos[A[:, 1]], pos[A[:, 2]]
-    inside = (np.minimum(pa, pb) < po) & (po < np.maximum(pa, pb))
-    return int(A.shape[0] - np.count_nonzero(inside))
-
-
-def _separated(A: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    pa, pb, pc, pd = pos[A[:, 0]], pos[A[:, 1]], pos[A[:, 2]], pos[A[:, 3]]
-    return (np.maximum(pa, pb) < np.minimum(pc, pd)) | (
-        np.maximum(pc, pd) < np.minimum(pa, pb)
+def _satisfied(grouped: dict[type, tuple[np.ndarray, ...]], enc: np.ndarray, axis=None):
+    """Satisfied constraints of one solution or, with axis=0, of each
+    solution whose encoding enc stacks along a trailing axis."""
+    return sum(
+        np.count_nonzero(CONSTRAINT_SPECS[cls].holds(enc, *columns), axis=axis)
+        for cls, columns in grouped.items()
     )
-
-
-_RANKING_COUNTERS: dict[type, Callable[[np.ndarray, np.ndarray], int]] = {
-    Precedes: _count_prec,
-    Between: _count_btw,
-    NotBetween: _count_nbtw,
-    FourSeparated: lambda A, pos: int(np.count_nonzero(_separated(A, pos))),
-    FourNonSeparated: lambda A, pos: int(A.shape[0] - np.count_nonzero(_separated(A, pos))),
-}
-
-
-def _count_ranking_grouped(grouped: dict[type, np.ndarray], pos: np.ndarray) -> int:
-    total = 0
-    for cls, A in grouped.items():
-        total += _RANKING_COUNTERS[cls](A, pos)
-    return total
-
-
-def _quartet_obeyed_mask(A: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    a, b, c, d = A[:, 0], A[:, 1], A[:, 2], A[:, 3]
-    own = dist[a, b] + dist[c, d]
-    return (own < dist[a, c] + dist[b, d]) & (own < dist[a, d] + dist[b, c])
 
 
 def score(instance: Instance, s: Solution) -> Score:
@@ -157,31 +71,11 @@ def score(instance: Instance, s: Solution) -> Score:
         raise ValueError(
             f"solution type {type(s).__name__} does not fit kind {instance.kind}"
         )
-    total = len(instance.constraints)
-    if total == 0:
-        return Score(0, 0)
-    if isinstance(s, Ranking):
-        return Score(_count_ranking_grouped(instance.grouped, s.position), total)
-    if isinstance(s, Partition):
-        labels = np.asarray(s.labels, dtype=np.int64)
-        sat = 0
-        for cls, A in instance.grouped.items():
-            same = labels[A[:, 0]] == labels[A[:, 1]]
-            hits = np.count_nonzero(same)
-            sat += hits if cls is MustLink else A.shape[0] - hits
-        return Score(int(sat), total)
-    if isinstance(s, UnrootedTree):
-        dist = s.leaf_distances
-        sat = 0
-        for cls, A in instance.grouped.items():
-            obeyed = np.count_nonzero(_quartet_obeyed_mask(A, dist))
-            sat += obeyed if cls is DesiredQuartet else A.shape[0] - obeyed
-        return Score(int(sat), total)
-    return Score(sum(1 for c in instance.constraints if satisfies(c, s)), total)
+    return Score(int(_satisfied(instance.grouped, encode(s))), len(instance.constraints))
 
 
 def count_satisfied(constraints: Iterable[Constraint], s: Solution) -> int:
-    return sum(1 for c in constraints if satisfies(c, s))
+    return int(_satisfied(group(constraints), encode(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +227,24 @@ def oracle_best(instance: Instance) -> tuple[Solution, Score]:
     cap = ORACLE_CAPS[instance.kind]
     if instance.n > cap:
         raise ValueError(f"oracle enumeration needs n <= {cap} for kind {instance.kind}")
-    best = None
-    best_sat = -1
-    for sol in enumerate_solutions(instance.kind, instance.n):
-        sat = score(instance, sol).satisfied
-        if sat > best_sat:
-            best, best_sat = sol, sat
-    assert best is not None
-    return best, Score(best_sat, len(instance.constraints))
+    sols, encodings = _enumerated(instance.kind, instance.n)
+    total = len(instance.constraints)
+    sat = np.zeros(len(sols), dtype=np.int64)
+    step = max(1, _ORACLE_BATCH // max(1, total))
+    for lo in range(0, len(sols), step):
+        sat[lo:lo + step] += _satisfied(instance.grouped, encodings[..., lo:lo + step], axis=0)
+    best = int(np.argmax(sat))
+    return sols[best], Score(int(sat[best]), total)
+
+
+@functools.lru_cache(maxsize=1)
+def _enumerated(kind: str, n: int) -> tuple[tuple[Solution, ...], np.ndarray]:
+    """Every solution of the kind at size n, and their encodings stacked
+    along a trailing axis; kept for the next instance of the same shape."""
+    sols = tuple(enumerate_solutions(kind, n))
+    encodings = np.stack([encode(s) for s in sols], axis=-1)
+    encodings.flags.writeable = False
+    return sols, encodings
 
 
 # ---------------------------------------------------------------------------

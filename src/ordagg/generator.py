@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluator import (
-    _obeys_quartet,
-    _obeys_triplet,
-    random_ranking,
-    random_rooted_tree,
-    random_unrooted_tree,
-)
+from .evaluator import random_ranking, random_rooted_tree, random_unrooted_tree
 from .model import (
+    CONSTRAINT_SPECS,
     Between,
     CannotLink,
     Constraint,
@@ -40,7 +35,7 @@ from .model import (
     RootedBinaryTree,
     Solution,
     TREE_KINDS,
-    UnrootedTree,
+    encode,
 )
 
 MAX_RESAMPLES = 1000
@@ -213,57 +208,37 @@ def _gen_cc(gt: Partition, m: int, eps: float, rng) -> list[Constraint]:
     return out
 
 
-def _triplet_resolutions(x: int, y: int, z: int):
-    return (((x, y), z), ((x, z), y), ((y, z), x))
-
-
-def _true_triplet(gt: RootedBinaryTree, x: int, y: int, z: int) -> int:
-    if _obeys_triplet(gt, x, y, z):
-        return 0
-    if _obeys_triplet(gt, x, z, y):
-        return 1
-    return 2
-
-
-def _quartet_resolutions(a: int, b: int, c: int, d: int):
-    return (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
-
-
-def _true_quartet(gt: UnrootedTree, a: int, b: int, c: int, d: int) -> int:
-    if _obeys_quartet(gt, a, b, c, d):
-        return 0
-    if _obeys_quartet(gt, a, c, b, d):
-        return 1
-    return 2
+# The three resolutions of a drawn triple xyz (xy|z, xz|y, yz|x) and of a
+# drawn quartet abcd (ab|cd, ac|bd, ad|bc), as orders of the drawn items.
+_TRIPLET_RESOLUTIONS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+_QUARTET_RESOLUTIONS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
 def _gen_trees(gt, n: int, m1: int, m2: int, eps1: float, eps2: float, rng, rooted: bool):
-    out: list[Constraint] = []
-    arity = 3 if rooted else 4
-    for which, m, eps in (("forbidden", m1, eps1), ("desired", m2, eps2)):
-        for _ in range(m):
-            items = _distinct(rng, n, arity)
-            if rooted:
-                res = _triplet_resolutions(*items)
-                true_idx = _true_triplet(gt, *items)
-            else:
-                res = _quartet_resolutions(*items)
-                true_idx = _true_quartet(gt, *items)
-            wrong = [i for i in range(3) if i != true_idx]
-            erroneous = rng.random() < eps
-            if which == "desired":
-                idx = wrong[int(rng.integers(0, 2))] if erroneous else true_idx
-            else:
-                idx = true_idx if erroneous else wrong[int(rng.integers(0, 2))]
-            if rooted:
-                (a, b), c = res[idx]
-                cls = DesiredTriplet if which == "desired" else ForbiddenTriplet
-                out.append(cls(a, b, c))
-            else:
-                (a, b), (c, d) = res[idx]
-                cls = DesiredQuartet if which == "desired" else ForbiddenQuartet
-                out.append(cls(a, b, c, d))
-    return out
+    """m1 forbidden, then m2 desired constraints. No draw depends on the
+    tree, so the true resolution of every drawn item set is read off it in one
+    predicate call after the draws."""
+    if rooted:
+        resolutions, classes = _TRIPLET_RESOLUTIONS, (ForbiddenTriplet, DesiredTriplet)
+    else:
+        resolutions, classes = _QUARTET_RESOLUTIONS, (ForbiddenQuartet, DesiredQuartet)
+    drawn = np.empty((m1 + m2, len(resolutions[0])), dtype=np.int64)
+    pick = np.full(m1 + m2, -1)
+    for i in range(m1 + m2):
+        desired = i >= m1
+        drawn[i] = _distinct(rng, n, drawn.shape[1])
+        # a correct forbidden or an erroneous desired constraint names one of
+        # the two wrong resolutions
+        if (rng.random() < (eps2 if desired else eps1)) == desired:
+            pick[i] = rng.integers(0, 2)
+    sets = drawn[:, resolutions]
+    # the desired class's predicate holds for exactly one resolution of each set
+    holds = CONSTRAINT_SPECS[classes[1]].holds(encode(gt), *np.moveaxis(sets, -1, 0))
+    true = np.argmax(holds, axis=1)
+    # pick numbers the two wrong resolutions in order, skipping the true one
+    idx = np.where(pick < 0, true, pick + (pick >= true))
+    columns = sets[np.arange(m1 + m2), idx].T.tolist()
+    return [classes[i >= m1](*items) for i, items in enumerate(zip(*columns))]
 
 
 def generate(cfg: GeneratorConfig, gt: Solution, rng: np.random.Generator) -> Instance:

@@ -3,8 +3,15 @@
 Items are dense integers 0..n-1. Constraints are small frozen dataclasses;
 unordered pairs inside them are stored smaller-index-first so equal constraints
 compare equal. Each class has one row in CONSTRAINT_SPECS (file tag, field
-pairs, signed edge pattern, desired or forbidden); only the satisfaction test
-(evaluator.satisfies) and the cut status (graph.classify) live elsewhere.
+pairs, signed edge pattern, satisfaction predicate, desired or forbidden); only
+the cut status (graph.classify) lives elsewhere.
+
+A predicate reads one array encoding of the solution (encode): a ranking's
+positions, a partition's labels, a rooted tree's LCA-depth matrix, an unrooted
+tree's leaf distances. It indexes that array by items along its leading axes,
+so the same expression takes item ints (one constraint), item columns (every
+constraint of a class against one solution) and encodings stacked along a
+trailing axis (many solutions at once).
 Trees live in flat index arenas (parallel tuples) so traversal is
 deterministic, child order is explicit, and rebuilding with swapped children is
 cheap.
@@ -15,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -24,14 +31,15 @@ TREE_KINDS = ("triplets", "quartets")
 
 
 class ConstraintSpec(NamedTuple):
-    """One row of the constraint table: what a constraint class means outside
-    its own satisfaction test.
+    """One row of the constraint table: what a constraint class means.
 
     tag: JSON tag; None for the reduction-side classes no instance file holds.
     pairs: interchangeable field pairs, stored smaller-index-first.
     pattern: signed edges (i, j, weight) from items()[i] to items()[j], where
         weight None stands for the cc must-link weight; None where the class
         has no graph.
+    holds: holds(enc, *items) is True where the constraint is satisfied by
+        the solution whose encoding is enc (see encode).
     desired: for tree kinds, True on the desired and False on the forbidden
         variant.
     """
@@ -39,6 +47,7 @@ class ConstraintSpec(NamedTuple):
     tag: str | None
     pairs: tuple[tuple[str, str], ...]
     pattern: tuple[tuple[int, int, float | None], ...] | None
+    holds: Callable[..., np.ndarray]
     desired: bool | None = None
 
 
@@ -184,34 +193,81 @@ class FourNonSeparated(_OrderedPairs):
         return (self.a, self.b, self.c, self.d)
 
 
+# Satisfaction predicates over a solution encoding; items are distinct.
+
+
+def _before(pos, a, b):
+    return pos[a] < pos[b]
+
+
+def _between(pos, a, b, c):
+    """b lies strictly between a and c."""
+    pa, pb, pc = pos[a], pos[b], pos[c]
+    return (pa < pb) & (pb < pc) | (pc < pb) & (pb < pa)
+
+
+def _apart(pos, a, b, c, d):
+    """Both of a, b come before both of c, d, or both after."""
+    pa, pb, pc, pd = pos[a], pos[b], pos[c], pos[d]
+    return ((pa < pc) & (pa < pd) & (pb < pc) & (pb < pd)
+            | (pc < pa) & (pd < pa) & (pc < pb) & (pd < pb))
+
+
+def _linked(labels, a, b):
+    return labels[a] == labels[b]
+
+
+def _resolved(lca_depth, a, b, out):
+    """ab|out: the a,b ancestor sits strictly below the a,out ancestor."""
+    return lca_depth[a, b] > lca_depth[a, out]
+
+
+def _split(dist, a, b, c, d):
+    """ab|cd: the a-b and c-d paths are vertex disjoint, which in a trivalent
+    tree is the strict four-point condition on path lengths."""
+    own = dist[a, b] + dist[c, d]
+    return (own < dist[a, c] + dist[b, d]) & (own < dist[a, d] + dist[b, c])
+
+
+def _negated(holds):
+    # xor with True rather than ~, which costs 20x more on a numpy bool scalar
+    return lambda enc, *items: holds(enc, *items) ^ np.True_
+
+
 _AB = (("a", "b"),)
 _AB_CD = (("a", "b"), ("c", "d"))
 
 CONSTRAINT_SPECS: dict[type, ConstraintSpec] = {
-    Precedes: ConstraintSpec("prec", (), ((0, 1, 1.0), (1, 0, -1.0))),
-    Between: ConstraintSpec("btw", (("a", "c"),), ((0, 2, 2.0), (0, 1, -1.0), (1, 2, -1.0))),
-    NotBetween: ConstraintSpec("nbtw", _AB, ((2, 0, 1.0), (2, 1, 1.0), (0, 1, -2.0))),
-    MustLink: ConstraintSpec("ml", _AB, ((0, 1, None),)),
-    CannotLink: ConstraintSpec("cl", _AB, ((0, 1, 1.0),)),
+    Precedes: ConstraintSpec("prec", (), ((0, 1, 1.0), (1, 0, -1.0)), _before),
+    Between: ConstraintSpec(
+        "btw", (("a", "c"),), ((0, 2, 2.0), (0, 1, -1.0), (1, 2, -1.0)), _between
+    ),
+    NotBetween: ConstraintSpec(
+        "nbtw", _AB, ((2, 0, 1.0), (2, 1, 1.0), (0, 1, -2.0)),
+        _negated(lambda pos, a, b, out: _between(pos, a, out, b)),
+    ),
+    MustLink: ConstraintSpec("ml", _AB, ((0, 1, None),), _linked),
+    CannotLink: ConstraintSpec("cl", _AB, ((0, 1, 1.0),), _negated(_linked)),
     DesiredTriplet: ConstraintSpec(
-        "dt", _AB, ((0, 1, -2.0), (2, 0, 1.0), (2, 1, 1.0)), desired=True
+        "dt", _AB, ((0, 1, -2.0), (2, 0, 1.0), (2, 1, 1.0)), _resolved, desired=True
     ),
     ForbiddenTriplet: ConstraintSpec(
-        "ft", _AB, ((0, 1, 2.0), (2, 0, -1.0), (2, 1, -1.0)), desired=False
+        "ft", _AB, ((0, 1, 2.0), (2, 0, -1.0), (2, 1, -1.0)), _negated(_resolved),
+        desired=False,
     ),
     DesiredQuartet: ConstraintSpec(
         "dq", _AB_CD,
         ((0, 1, -2.0), (2, 3, -2.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0)),
-        desired=True,
+        _split, desired=True,
     ),
     ForbiddenQuartet: ConstraintSpec(
         "fq", _AB_CD,
         ((0, 1, 2.0), (2, 3, 2.0), (0, 2, -1.0), (0, 3, -1.0), (1, 2, -1.0), (1, 3, -1.0)),
-        desired=False,
+        _negated(_split), desired=False,
     ),
     # reduction-side ranking constraints: no instance kind, file tag or graph
-    FourSeparated: ConstraintSpec(None, _AB_CD, None),
-    FourNonSeparated: ConstraintSpec(None, _AB_CD, None),
+    FourSeparated: ConstraintSpec(None, _AB_CD, None, _apart),
+    FourNonSeparated: ConstraintSpec(None, _AB_CD, None, _negated(_apart)),
 }
 
 # read on every construction, where a class attribute is faster than a table lookup
@@ -317,6 +373,13 @@ class RootedBinaryTree:
                 stack.append(r)
         return tuple(d)
 
+    @cached_property
+    def lca_depth(self) -> np.ndarray:
+        """Depth of the lowest common ancestor of every two leaves, indexed
+        by item id; ab|c holds iff lca_depth[a, b] > lca_depth[a, c]."""
+        children = [(l, r) if l >= 0 else () for l, r in zip(self.left, self.right)]
+        return _lca_depths(children, self.root, self.leaf_item)
+
     def lca(self, u: int, v: int) -> int:
         """Lowest common ancestor of two arena node indices."""
         d = self.depth
@@ -377,26 +440,70 @@ class UnrootedTree:
     @cached_property
     def leaf_distances(self) -> np.ndarray:
         """Pairwise path lengths between leaves, indexed by item id."""
-        n = self.n_leaves
-        dist = np.zeros((n, n), dtype=np.int64)
-        for item in range(n):
-            start = self.leaf_of_item[item]
-            d = [-1] * self.node_count
-            d[start] = 0
-            q = deque([start])
-            while q:
-                u = q.popleft()
-                for v in self.adjacency[u]:
-                    if d[v] < 0:
-                        d[v] = d[u] + 1
-                        q.append(v)
-            for other in range(n):
-                dist[item, other] = d[self.leaf_of_item[other]]
-        return dist
+        lca_depth = _lca_depths(self.adjacency, 0, self.leaf_item)
+        depth = np.diagonal(lca_depth)
+        return depth[:, None] + depth[None, :] - 2 * lca_depth
+
+
+def _lca_depths(
+    neighbours: Sequence[Sequence[int]], root: int, leaf_item: Sequence[int]
+) -> np.ndarray:
+    """L[a, b] = depth of the lowest common ancestor of the nodes carrying
+    items a and b once the tree hangs from root, each item's own depth on the
+    diagonal; neighbours[v] lists v's children in order, and its parent too
+    where the tree is unrooted.
+
+    A depth-first walk meets the items in some order. The lowest common
+    ancestor of two consecutive ones is the parent of the first node the walk
+    enters after the earlier one, and that of any two is the shallowest of
+    these turns between them."""
+    depth = [-1] * len(neighbours)
+    depth[root] = 0
+    items, own, turns = [], [], []
+    fresh = False
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        d = depth[v]
+        if fresh:
+            turns.append(d - 1)
+            fresh = False
+        if leaf_item[v] >= 0:
+            items.append(leaf_item[v])
+            own.append(d)
+            fresh = True
+        for u in reversed(neighbours[v]):
+            if depth[u] < 0:
+                depth[u] = d + 1
+                stack.append(u)
+    n = len(items)
+    k = np.arange(n)
+    deeper = len(neighbours)  # exceeds every depth
+    run = np.full((n, n), deeper, dtype=np.int64)
+    # run[i, j] for i < j: the shallowest turn between the i-th and j-th item
+    run[:-1, 1:] = np.minimum.accumulate(np.where(k[:-1, None] <= k[:-1], turns, deeper), axis=1)
+    run = np.minimum(run, run.T)
+    run.flat[:: n + 1] = own
+    position = np.empty(n, dtype=np.int64)
+    position[items] = k
+    return run[position[:, None], position]
 
 
 Solution = Union[Ranking, Partition, RootedBinaryTree, UnrootedTree]
 GroundTruth = Solution
+
+_ENCODINGS: dict[type, Callable[..., np.ndarray]] = {
+    Ranking: lambda s: s.position,
+    Partition: lambda s: np.asarray(s.labels, dtype=np.int64),
+    RootedBinaryTree: lambda s: s.lca_depth,
+    UnrootedTree: lambda s: s.leaf_distances,
+}
+
+
+def encode(s: Solution) -> np.ndarray:
+    """The array every satisfaction predicate in CONSTRAINT_SPECS reads."""
+    return _ENCODINGS[type(s)](s)
+
 
 SOLUTION_TYPE: dict[str, type] = {
     "mas": Ranking,
@@ -416,14 +523,20 @@ class Instance:
     ground_truth: Solution | None = None
 
     @cached_property
-    def grouped(self) -> dict[type, np.ndarray]:
-        """Constraint item tuples stacked per class, for vectorized scoring."""
-        buckets: dict[type, list[tuple[int, ...]]] = {}
-        for c in self.constraints:
-            buckets.setdefault(type(c), []).append(c.items())
-        return {
-            cls: np.asarray(rows, dtype=np.int64) for cls, rows in buckets.items()
-        }
+    def grouped(self) -> dict[type, tuple[np.ndarray, ...]]:
+        return group(self.constraints)
+
+
+def group(constraints: Iterable[Constraint]) -> dict[type, tuple[np.ndarray, ...]]:
+    """Per class, the item columns of its constraints: one int array per
+    position in items(), in the order the constraints come."""
+    buckets: dict[type, list[tuple[int, ...]]] = {}
+    for c in constraints:
+        buckets.setdefault(type(c), []).append(c.items())
+    return {
+        cls: tuple(np.array(rows, dtype=np.int64).T.copy())
+        for cls, rows in buckets.items()
+    }
 
 
 def forbidden_desired_counts(instance: Instance) -> tuple[int, int]:

@@ -151,6 +151,9 @@ _MALFORMED_FILES = [
     {**_PREC, "kind": "quartets", "n": 1, "constraints": [],
      "ground_truth": {"unrooted_tree": {"adjacency": [[]], "items": []}}},
 ]
+# two must-links: a weight near the float limit overflows their sum
+_CC_TWO_LINKS = {**_CC, "constraints": [{"t": "ml", "a": 0, "b": 1}, {"t": "ml", "a": 1, "b": 2},
+                                        {"t": "cl", "a": 0, "b": 2}]}
 _MALFORMED_FLAGS = [
     (_PREC, ["--restarts", "0"]),
     (_PREC, ["--hyperplanes", "0"]),
@@ -158,6 +161,8 @@ _MALFORMED_FLAGS = [
     (_CC, ["--cc-weight", "nan"]),
     (_CC, ["--cc-weight", "inf"]),
     (_CC, ["--cc-weight", "-inf"]),
+    (_CC_TWO_LINKS, ["--cc-weight", "1e308"]),
+    (_CC_TWO_LINKS, ["--cc-weight", "-1e308"]),
 ]
 
 
@@ -167,7 +172,7 @@ _MALFORMED_FLAGS = [
          "bool-leaf", "float-leaf", "negative-n", "float-n", "top-level-list",
          "empty-tree", "items-shorter-than-adjacency",
          "restarts-0", "hyperplanes-0", "negative-seed", "cc-weight-nan", "cc-weight-inf",
-         "cc-weight-minus-inf"])
+         "cc-weight-minus-inf", "cc-weight-overflows", "cc-weight-overflows-negative"])
 def test_solve_rejects_malformed_input(runner, tmp_path, obj, flags):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -176,6 +181,16 @@ def test_solve_rejects_malformed_input(runner, tmp_path, obj, flags):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("weight", ["1e307", "-1e307"])
+def test_solve_accepts_a_large_finite_cc_weight(runner, tmp_path, weight):
+    inst = tmp_path / "cc.json"
+    inst.write_text(json.dumps(_CC_TWO_LINKS))
+    res = runner.invoke(main, ["solve", "--in", str(inst), "--out", str(tmp_path / "s.json"),
+                               "--cc-weight", weight])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "s.json").exists()
 
 
 def test_solve_reports_a_converged_ascent(runner, tmp_path):
@@ -359,6 +374,25 @@ def test_bench_thread_pool_matches_serial(runner, tmp_path, monkeypatch):
         return [{k: v for k, v in row.items() if k != "wall_ms"} for row in _read_csv(path)]
 
     assert strip_timing(serial) == strip_timing(pooled)
+
+
+@pytest.mark.parametrize("threads", ["abc", "-3"])
+def test_bench_rejects_bad_thread_count(runner, tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("ORDAGG_THREADS", threads)
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["bench", "--kinds", "mas", "--n", "5", "--m", "4",
+                               "--seeds", "1", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "ORDAGG_THREADS" in res.output
+    assert not out.exists()
+
+
+def test_bench_empty_thread_count_runs_serially(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("ORDAGG_THREADS", "")
+    res = runner.invoke(main, ["bench", "--kinds", "mas", "--n", "5", "--m", "4",
+                               "--seeds", "1", "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 0, res.output
 
 
 def test_bench_rejects_unknown_kind(runner, tmp_path):

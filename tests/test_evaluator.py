@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from ordagg.evaluator import (
 )
 from ordagg.generator import GeneratorConfig, make_instance
 from ordagg.model import (
+    CONSTRAINT_SPECS,
     KINDS,
+    SOLUTION_TYPE,
     TREE_KINDS,
     Between,
     CannotLink,
@@ -129,17 +132,92 @@ def test_score_rejects_mismatched_solution():
         score(inst, Partition((0, 0, 0)))
 
 
+def _path_nodes(t, x, y):
+    """The nodes on the path between the leaves of items x and y, by BFS."""
+    leaf = t.leaf_of_item
+    parent = {leaf[x]: None}
+    frontier = [leaf[x]]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for nb in t.adjacency[v]:
+                if nb not in parent:
+                    parent[nb] = v
+                    nxt.append(nb)
+        frontier = nxt
+    out = set()
+    v = leaf[y]
+    while v is not None:
+        out.add(v)
+        v = parent[v]
+    return out
+
+
+def _resolves(t, a, b, out):
+    # ab|out: the a,b ancestor sits strictly below the three-way ancestor
+    leaf = t.leaf_of_item
+    lab = t.lca(leaf[a], leaf[b])
+    return lab != t.lca(lab, leaf[out])
+
+
+def _separated(p, a, b, c, d):
+    return max(p[a], p[b]) < min(p[c], p[d]) or max(p[c], p[d]) < min(p[a], p[b])
+
+
+# Each class's rule written out on the solution's own fields: positions from
+# the order, labels, LCA walks, and BFS paths; independent of model.encode.
+_REFERENCE = {
+    Precedes: lambda p, a, b: p[a] < p[b],
+    Between: lambda p, a, b, c: p[a] < p[b] < p[c] or p[c] < p[b] < p[a],
+    NotBetween: lambda p, a, b, o: not (min(p[a], p[b]) < p[o] < max(p[a], p[b])),
+    FourSeparated: _separated,
+    FourNonSeparated: lambda p, a, b, c, d: not _separated(p, a, b, c, d),
+    MustLink: lambda labels, a, b: labels[a] == labels[b],
+    CannotLink: lambda labels, a, b: labels[a] != labels[b],
+    DesiredTriplet: _resolves,
+    ForbiddenTriplet: lambda t, a, b, o: not _resolves(t, a, b, o),
+    DesiredQuartet: lambda t, a, b, c, d: not (_path_nodes(t, a, b) & _path_nodes(t, c, d)),
+    ForbiddenQuartet: lambda t, a, b, c, d: bool(_path_nodes(t, a, b) & _path_nodes(t, c, d)),
+}
+
+_RANKING_CLASSES = (Precedes, Between, NotBetween, FourSeparated, FourNonSeparated)
+
+
+def _reference(c, s) -> bool:
+    if isinstance(s, Ranking):
+        view = {item: i for i, item in enumerate(s.order)}
+    elif isinstance(s, Partition):
+        view = s.labels
+    else:
+        view = s
+    return _REFERENCE[type(c)](view, *c.items())
+
+
+def test_reference_covers_every_class():
+    assert set(_REFERENCE) == set(CONSTRAINT_SPECS)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_score_matches_count_satisfied(kind, rng):
-    # score's vectorised paths against the scalar reference, satisfies()
+    # satisfies, score and count_satisfied against the scalar reference above;
+    # ranking kinds also carry constraints of every ranking class
     if kind in TREE_KINDS:
         cfg = GeneratorConfig(kind=kind, n=9, m1=20, m2=20, eps1=0.3, eps2=0.3, seed=4)
     else:
         cfg = GeneratorConfig(kind=kind, n=9, m=40, eps=0.3, seed=4)
     inst = make_instance(cfg)
+    if SOLUTION_TYPE[kind] is Ranking:
+        extra = tuple(
+            cls(*(int(x) for x in rng.choice(inst.n, len(fields(cls)), replace=False)))
+            for cls in _RANKING_CLASSES for _ in range(10)
+        )
+        inst = Instance(kind=kind, n=inst.n, constraints=inst.constraints + extra)
     for _ in range(30):
         sol = random_solution(kind, inst.n, rng)
-        assert score(inst, sol).satisfied == count_satisfied(inst.constraints, sol)
+        expected = [_reference(c, sol) for c in inst.constraints]
+        assert [satisfies(c, sol) for c in inst.constraints] == expected
+        assert score(inst, sol).satisfied == sum(expected)
+        assert count_satisfied(inst.constraints, sol) == sum(expected)
 
 
 def test_enumeration_counts():
@@ -165,6 +243,43 @@ def test_oracle_small_mas():
     sol, sc = oracle_best(inst)
     assert sc == Score(2, 2)
     assert sol.order == (0, 1, 2)
+
+
+def _first_best(inst):
+    best, best_sat = None, -1
+    for sol in enumerate_solutions(inst.kind, inst.n):
+        sat = score(inst, sol).satisfied
+        if sat > best_sat:
+            best, best_sat = sol, sat
+    return best, Score(best_sat, len(inst.constraints))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("kind", KINDS)
+def test_oracle_best_is_the_first_best_enumerated(kind, n):
+    if kind in TREE_KINDS:
+        cfg = GeneratorConfig(kind=kind, n=n, m1=6, m2=6, eps1=0.4, eps2=0.4, seed=n)
+    else:
+        cfg = GeneratorConfig(kind=kind, n=n, m=12, eps=0.4, seed=n)
+    inst = make_instance(cfg)
+    assert oracle_best(inst) == _first_best(inst)
+
+
+@pytest.mark.parametrize("inst, expected", [
+    (Instance(kind="mas", n=3, constraints=(Precedes(1, 0),)), Ranking((1, 0, 2))),
+    (Instance(kind="cc", n=3, constraints=(CannotLink(0, 1),)), Partition((0, 1, 0))),
+    (Instance(kind="triplets", n=4, constraints=(DesiredTriplet(1, 2, 0),)), None),
+    (Instance(kind="quartets", n=5, constraints=(DesiredQuartet(0, 2, 1, 3),)), None),
+], ids=["mas", "cc", "triplets", "quartets"])
+def test_oracle_ties_keep_the_first_enumerated(inst, expected):
+    sols = list(enumerate_solutions(inst.kind, inst.n))
+    sats = [score(inst, s).satisfied for s in sols]
+    first = sats.index(max(sats))
+    assert sats.count(max(sats)) >= 2 and first > 0
+    best, sc = oracle_best(inst)
+    assert best == sols[first] and sc.satisfied == max(sats)
+    if expected is not None:
+        assert best == expected
 
 
 def test_oracle_cap_raises():
@@ -235,28 +350,7 @@ def test_quartet_obeyed_iff_paths_disjoint(seed):
     t = random_unrooted_tree(n, rng)
     items = [int(x) for x in rng.choice(n, size=4, replace=False)]
     a, b, c, d = items
-
-    def path(x, y):
-        leaf = t.leaf_of_item
-        # BFS parents from leaf[x]
-        parent = {leaf[x]: None}
-        frontier = [leaf[x]]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for nb in t.adjacency[v]:
-                    if nb not in parent:
-                        parent[nb] = v
-                        nxt.append(nb)
-            frontier = nxt
-        out = []
-        v = leaf[y]
-        while v is not None:
-            out.append(v)
-            v = parent[v]
-        return set(out)
-
-    disjoint = not (path(a, b) & path(c, d))
+    disjoint = not (_path_nodes(t, a, b) & _path_nodes(t, c, d))
     assert satisfies(DesiredQuartet(a, b, c, d), t) == disjoint
 
 

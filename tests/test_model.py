@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,61 @@ def test_unrooted_leaf_distances():
     d = t.leaf_distances
     assert d[0, 1] == d[0, 2] == d[1, 2] == 2
     assert d[0, 0] == 0
+
+
+def _lca_depth_by_walks(t):
+    la = t.leaf_of_item
+    n = t.n_leaves
+    return [[t.depth[t.lca(la[a], la[b])] for b in range(n)] for a in range(n)]
+
+
+def _leaf_distances_by_bfs(t):
+    out = []
+    for item in range(t.n_leaves):
+        d = {t.leaf_of_item[item]: 0}
+        q = deque(d)
+        while q:
+            u = q.popleft()
+            for v in t.adjacency[u]:
+                if v not in d:
+                    d[v] = d[u] + 1
+                    q.append(v)
+        out.append([d[t.leaf_of_item[other]] for other in range(t.n_leaves)])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 30])
+def test_lca_depth_matches_lca_walks(n):
+    rng = np.random.default_rng(n)
+    trees = [random_rooted_tree(n, rng) for _ in range(20)]
+    if n == 1:
+        trees.append(rooted_from_nested(0))
+    for t in trees:
+        assert t.lca_depth.tolist() == _lca_depth_by_walks(t)
+        # ab|c holds iff the a,b ancestor is deeper than the a,c ancestor
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (0, 2, 1)) if n >= 3 else ():
+            la = t.leaf_of_item
+            lab = t.lca(la[a], la[b])
+            assert (t.lca_depth[a, b] > t.lca_depth[a, c]) == (lab != t.lca(lab, la[c]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 30])
+def test_leaf_distances_match_bfs(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        t = random_unrooted_tree(n, rng)
+        assert t.leaf_distances.tolist() == _leaf_distances_by_bfs(t)
+
+
+@pytest.mark.parametrize("t", [
+    UnrootedTree(((),), (0,)),
+    UnrootedTree(((1,), (0,)), (0, 1)),
+    UnrootedTree(((1,), (0,)), (1, 0)),
+    UnrootedTree(((3,), (3,), (3,), (0, 1, 2)), (0, 1, 2, -1)),
+    UnrootedTree(((1, 2, 3), (0,), (0,), (0,)), (-1, 2, 0, 1)),
+], ids=["one-leaf", "one-edge", "one-edge-swapped", "star", "star-centre-first"])
+def test_leaf_distances_on_the_smallest_trees(t):
+    assert t.leaf_distances.tolist() == _leaf_distances_by_bfs(t)
 
 
 def test_forbidden_desired_counts():
