@@ -76,23 +76,10 @@ def balanced_edge(t: UnrootedTree) -> tuple[int, int]:
     n = t.n_leaves
     lo = -(-n // 3)
     for u, v in sorted(t.edges()):
-        k = _side_leaf_count(t, u, v)
+        k = len(edge_side_items(t, (u, v)))
         if lo <= k <= n - lo:
             return (u, v)
     raise AssertionError("no balanced edge found in a trivalent tree")
-
-
-def _side_leaf_count(t: UnrootedTree, keep: int, drop: int) -> int:
-    count = 0
-    stack = [(keep, drop)]
-    while stack:
-        x, parent = stack.pop()
-        if t.leaf_item[x] >= 0:
-            count += 1
-        for nb in t.adjacency[x]:
-            if nb != parent:
-                stack.append((nb, x))
-    return count
 
 
 def edge_side_items(t: UnrootedTree, edge: tuple[int, int]) -> frozenset[int]:

@@ -8,6 +8,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -92,10 +93,11 @@ def _bound_from_meta(kind: str, meta: dict, instance) -> float | None:
 
 def _solve_instance(instance, scfg: solver.SolverConfig, dcfg: decoder.DecodeConfig):
     g = graph.build(instance, cc_mustlink_weight=dcfg.cc_mustlink_weight)
-    # the total absolute weight bounds every sum the relaxation, rounding and
-    # local search take
+    # twice the total absolute weight bounds every sum the relaxation, rounding
+    # and local search take: local search adds twice a column, and a directed
+    # gain is a difference of two sums
     with np.errstate(over="ignore"):
-        if not math.isfinite(float(np.abs(g.edge_arrays[2]).sum())):
+        if not math.isfinite(2.0 * float(np.abs(g.edge_arrays[2]).sum())):
             w = dcfg.cc_mustlink_weight
             raise click.UsageError(f"--cc-weight {w:g} makes the graph's total weight overflow")
     cut = solver.solve(g, scfg)
@@ -122,10 +124,8 @@ def _finite(ctx, param, value):
 @click.option("--rotation/--no-rotation", default=True)
 @click.option("--recursive", is_flag=True)
 @click.option("--cc-weight", default=-1.0, type=float, callback=_finite)
-@click.option("--cc-baseline", default="best-of-trivial",
-              type=click.Choice(["best-of-trivial", "recursive-cut"]))
 def cmd_solve(in_path, out, report_path, seed, restarts, hyperplanes, rotation,
-              recursive, cc_weight, cc_baseline):
+              recursive, cc_weight):
     """Solve an instance file; write the solution and a JSON report."""
     try:
         instance, meta = serialize.obj_to_instance(serialize.read_json(in_path))
@@ -137,8 +137,7 @@ def cmd_solve(in_path, out, report_path, seed, restarts, hyperplanes, rotation,
     t0 = time.perf_counter()
     scfg = solver.SolverConfig(restarts=restarts, hyperplanes=hyperplanes,
                                rotation=rotation, seed=seed)
-    dcfg = decoder.DecodeConfig(recursive=recursive, inner_cc_baseline=cc_baseline,
-                                cc_mustlink_weight=cc_weight, seed=seed)
+    dcfg = decoder.DecodeConfig(recursive=recursive, cc_mustlink_weight=cc_weight, seed=seed)
     cut, sol = _solve_instance(instance, scfg, dcfg)
     sc = score(instance, sol)
     wall_ms = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -184,12 +183,8 @@ def _bench_cell(cfg: generator.GeneratorConfig) -> dict:
     kind, n, seed = cfg.kind, cfg.n, cfg.seed
     t0 = time.perf_counter()
     inst = _make_instance(cfg)
-    scfg = solver.SolverConfig(restarts=_BENCH_SOLVER.restarts,
-                               hyperplanes=_BENCH_SOLVER.hyperplanes,
-                               max_iterations=_BENCH_SOLVER.max_iterations,
-                               seed=seed)
-    dcfg = decoder.DecodeConfig(seed=seed)
-    _, sol = _solve_instance(inst, scfg, dcfg)
+    _, sol = _solve_instance(inst, replace(_BENCH_SOLVER, seed=seed),
+                             decoder.DecodeConfig(seed=seed))
     sc = score(inst, sol)
     wall_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     rng = np.random.default_rng((seed, 2))
@@ -319,12 +314,8 @@ def cmd_oracle(kind, n, m, m1, m2, eps, eps1, eps2, count, seed, out):
     for cfg in configs:
         inst = _make_instance(cfg)
         _, best_score = oracle_best(inst)
-        scfg = solver.SolverConfig(restarts=_ORACLE_SOLVER.restarts,
-                                   hyperplanes=_ORACLE_SOLVER.hyperplanes,
-                                   max_iterations=_ORACLE_SOLVER.max_iterations,
-                                   seed=cfg.seed)
-        dcfg = decoder.DecodeConfig(seed=cfg.seed)
-        _, sol = _solve_instance(inst, scfg, dcfg)
+        _, sol = _solve_instance(inst, replace(_ORACLE_SOLVER, seed=cfg.seed),
+                                 decoder.DecodeConfig(seed=cfg.seed))
         sc = score(inst, sol)
         rng = np.random.default_rng((cfg.seed, 2))
         base = score(inst, random_solution(kind, n, rng))

@@ -3,11 +3,13 @@
 The default decoders fill each side uniformly at random: a random order within
 both ranking blocks, trivial clusterings per side, uniform tree shapes per
 side joined at the top. Recursion re-solves the induced sub-instance of a side
-instead, falling back to the uniform fill below min_recursion_size or when a
-side carries no constraints. Betweenness objectives are blind to a global
-reversal, so a recursively decoded block arrives with an arbitrary direction;
-the recursive ranking path therefore keeps whichever block orientations
-satisfy the most constraints at each join.
+instead, falling back to the default fill below _MIN_RECURSION_SIZE items or
+when a side carries no constraints; a clustering keeps a side's recursive
+split only where it scores at least as well as the side's better trivial
+clustering. Betweenness objectives are blind to a global reversal, so a
+recursively decoded block arrives with an arbitrary direction; the recursive
+ranking path therefore keeps whichever block orientations satisfy the most
+constraints at each join.
 """
 
 from __future__ import annotations
@@ -37,22 +39,14 @@ from .solver import CutResult, SolverConfig, solve
 log = logging.getLogger(__name__)
 
 _INNER_SOLVER = SolverConfig(restarts=2, hyperplanes=60, max_iterations=500)
+_MIN_RECURSION_SIZE = 3
 
 
 @dataclass(frozen=True)
 class DecodeConfig:
     recursive: bool = False
-    min_recursion_size: int = 3
-    inner_cc_baseline: str = "best-of-trivial"
     cc_mustlink_weight: float = -1.0
     seed: int = 0
-    solver: SolverConfig | None = None
-
-    def __post_init__(self):
-        if self.min_recursion_size < 2:
-            raise ValueError("min_recursion_size must be at least 2")
-        if self.inner_cc_baseline not in ("best-of-trivial", "recursive-cut"):
-            raise ValueError(f"unknown inner_cc_baseline {self.inner_cc_baseline}")
 
 
 def _split(instance: Instance, cut: CutResult) -> tuple[list[int], list[int]]:
@@ -73,13 +67,13 @@ def _induce(instance: Instance, side: list[int]) -> Instance:
     return Instance(kind=instance.kind, n=len(side), constraints=tuple(kept))
 
 
-def _recursion_applies(cfg: DecodeConfig, sub: Instance) -> bool:
-    return sub.n >= cfg.min_recursion_size and len(sub.constraints) > 0
+def _recursion_applies(sub: Instance) -> bool:
+    return sub.n >= _MIN_RECURSION_SIZE and len(sub.constraints) > 0
 
 
 def _inner_solve(sub: Instance, cfg: DecodeConfig, rng) -> CutResult:
     g = build(sub, cc_mustlink_weight=cfg.cc_mustlink_weight)
-    return solve(g, cfg.solver or _INNER_SOLVER, rng)
+    return solve(g, _INNER_SOLVER, rng)
 
 
 def _best_block_orientation(instance: Instance, first: list[int], second: list[int]) -> Ranking:
@@ -109,7 +103,7 @@ def decode_ranking(instance: Instance, cut: CutResult, cfg: DecodeConfig | None 
     def fill(side: list[int]) -> list[int]:
         if cfg.recursive and len(side) < instance.n:
             sub = _induce(instance, side)
-            if _recursion_applies(cfg, sub):
+            if _recursion_applies(sub):
                 inner = _inner_solve(sub, cfg, rng)
                 local = decode_ranking(sub, inner, cfg, rng)
                 return [side[i] for i in local.order]
@@ -125,13 +119,13 @@ def decode_ranking(instance: Instance, cut: CutResult, cfg: DecodeConfig | None 
 
 def _cluster_side(sub: Instance, cfg: DecodeConfig, rng) -> tuple[int, ...]:
     """The better of one cluster and all singletons (ties keep one cluster);
-    with the recursive-cut baseline, a recursive split of the side instead
-    when it scores at least as well."""
+    when decoding recursively, a recursive split of the side instead when it
+    scores at least as well."""
     def satisfied(p: Partition) -> int:
         return score(sub, p).satisfied
 
     trivial = max((Partition((0,) * sub.n), Partition(tuple(range(sub.n)))), key=satisfied)
-    if cfg.inner_cc_baseline != "recursive-cut" or not _recursion_applies(cfg, sub):
+    if not cfg.recursive or not _recursion_applies(sub):
         return trivial.labels
     inner = _inner_solve(sub, cfg, rng)
     S, T = _split(sub, inner)
@@ -165,8 +159,7 @@ def decode_partition(instance: Instance, cut: CutResult, cfg: DecodeConfig | Non
         for item, l in zip(side, side_labels):
             labels[item] = l + offset
         offset += max(side_labels) + 1
-    seen: dict[int, int] = {}
-    return Partition(tuple(seen.setdefault(l, len(seen)) for l in labels))
+    return Partition.dense(labels)
 
 
 def _retag_rooted(t: RootedBinaryTree, side: list[int]) -> RootedBinaryTree:
@@ -188,7 +181,7 @@ def decode_rooted_tree(instance: Instance, cut: CutResult, cfg: DecodeConfig | N
     def side_tree(side: list[int]) -> RootedBinaryTree:
         if cfg.recursive and len(side) > 1:
             sub = _induce(instance, side)
-            if _recursion_applies(cfg, sub):
+            if _recursion_applies(sub):
                 inner = _inner_solve(sub, cfg, rng)
                 inner_S = sorted(int(i) for i in inner.S)
                 if 0 < len(inner_S) < sub.n:
@@ -258,7 +251,7 @@ def decode_unrooted_tree(instance: Instance, cut: CutResult, cfg: DecodeConfig |
         def side_tree(side: list[int]) -> UnrootedTree:
             if len(side) > 3:
                 sub = _induce(instance, side)
-                if _recursion_applies(cfg, sub):
+                if _recursion_applies(sub):
                     inner = _inner_solve(sub, cfg, rng)
                     inner_S = sorted(int(i) for i in inner.S)
                     if 0 < len(inner_S) < sub.n:

@@ -259,12 +259,7 @@ def random_partition(n: int, rng: np.random.Generator) -> Partition:
     """Uniform label per item out of n, relabeled densely by first appearance."""
     if n == 0:
         return Partition(())
-    raw = rng.integers(0, n, size=n)
-    seen: dict[int, int] = {}
-    labels = []
-    for x in raw:
-        labels.append(seen.setdefault(int(x), len(seen)))
-    return Partition(tuple(labels))
+    return Partition.dense(rng.integers(0, n, size=n))
 
 
 def random_rooted_tree(

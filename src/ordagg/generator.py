@@ -1,11 +1,14 @@
 """Planted-solution noisy constraint generator.
 
-A hidden ground truth is sampled per kind, then m constraints are drawn by
-picking the required number of distinct items uniformly with replacement
-across constraints; each constraint is consistent with the ground truth with
-probability 1 - eps and otherwise picks uniformly among the wrong
-alternatives. Tree kinds draw m1 forbidden constraints first, then m2 desired
-ones, with separate error rates.
+A hidden ground truth is sampled per kind. Then one loop draws every
+constraint: the family's number of distinct items, picked uniformly (with
+replacement across constraints), and one random() that makes the constraint
+correct with probability 1 - eps. _FAMILIES lists, per kind, the candidate
+constraints on a drawn item set. A correct constraint keeps one of the
+candidates that hold on the truth, a wrong one one of those that fail, chosen
+uniformly by one more draw where there is a choice. Whether a candidate holds
+is read from its class's predicate in CONSTRAINT_SPECS. Tree kinds draw m1
+forbidden constraints first, then m2 desired ones, with separate error rates.
 """
 
 from __future__ import annotations
@@ -76,11 +79,6 @@ class GeneratorConfig:
             raise ValueError("balanced sampling needs n >= 3")
 
 
-def _relabel_dense(raw) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    return tuple(seen.setdefault(int(x), len(seen)) for x in raw)
-
-
 def _grouping_hits_balance(sizes: list[int], n: int) -> bool:
     """Can the clusters be grouped into two sides, both in [n/3, 2n/3]?"""
     lo = -(-n // 3)
@@ -95,14 +93,14 @@ def _sample_partition(cfg: GeneratorConfig, rng: np.random.Generator) -> Partiti
     kmax = max(2, math.isqrt(cfg.n))
     for _ in range(MAX_RESAMPLES):
         k = int(rng.integers(2, kmax + 1))
-        labels = _relabel_dense(rng.integers(0, k, size=cfg.n))
+        p = Partition.dense(rng.integers(0, k, size=cfg.n))
         if not cfg.balanced:
-            return Partition(labels)
-        sizes = [0] * (max(labels) + 1)
-        for l in labels:
+            return p
+        sizes = [0] * (max(p.labels) + 1)
+        for l in p.labels:
             sizes[l] += 1
         if 2 * max(sizes) <= cfg.n and _grouping_hits_balance(sizes, cfg.n):
-            return Partition(labels)
+            return p
     raise RuntimeError("balanced partition resampling exceeded the attempt cap")
 
 
@@ -152,111 +150,73 @@ def _distinct(rng: np.random.Generator, n: int, k: int) -> list[int]:
     return out
 
 
-def _gen_mas(gt: Ranking, m: int, eps: float, rng) -> list[Constraint]:
-    pos = gt.position
-    out = []
+# Per kind, its families in draw order (tree kinds: forbidden, then desired).
+# A family lists the candidate constraints on a drawn item set, each as
+# (class, order of the drawn items), and how many of them hold on the truth.
+_FAMILIES: dict[str, tuple] = {
+    "mas": ((((Precedes, (0, 1)), (Precedes, (1, 0))), 1),),
+    "cc": ((((MustLink, (0, 1)), (CannotLink, (0, 1))), 1),),
+    # each drawn item as the middle
+    "btw": ((((Between, (1, 0, 2)), (Between, (0, 1, 2)), (Between, (0, 2, 1))), 1),),
+    # each drawn item as out
+    "nonbtw": ((((NotBetween, (1, 2, 0)), (NotBetween, (0, 2, 1)), (NotBetween, (0, 1, 2))), 2),),
+    # the resolutions xy|z, xz|y, yz|x of a drawn triple
+    "triplets": tuple(
+        (tuple((cls, order) for order in ((0, 1, 2), (0, 2, 1), (1, 2, 0))), holding)
+        for cls, holding in ((ForbiddenTriplet, 2), (DesiredTriplet, 1))
+    ),
+    # the resolutions ab|cd, ac|bd, ad|bc of a drawn quartet
+    "quartets": tuple(
+        (tuple((cls, order) for order in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))), holding)
+        for cls, holding in ((ForbiddenQuartet, 2), (DesiredQuartet, 1))
+    ),
+}
+
+
+def _draw(family, gt: Solution, n: int, m: int, eps: float, rng) -> list[Constraint]:
+    """m constraints of one family. Each draws its items, then one random() that
+    makes it correct when >= eps, then, where its side (the candidates that hold
+    for a correct draw, those that fail for a wrong one) has more than one
+    member, which of them to keep. No draw reads the truth, so the predicates
+    run once per candidate after the draws."""
+    candidates, holding = family
+    k = len(candidates[0][1])
+    sides = (len(candidates) - holding, holding)
+    drawn, correct, pick = [], [], []
     for _ in range(m):
-        a, b = _distinct(rng, gt.n, 2)
-        if pos[a] > pos[b]:
-            a, b = b, a
-        if rng.random() < eps:
-            a, b = b, a
-        out.append(Precedes(a, b))
-    return out
-
-
-def _gen_btw(gt: Ranking, m: int, eps: float, rng) -> list[Constraint]:
-    pos = gt.position
-    out = []
-    for _ in range(m):
-        trip = _distinct(rng, gt.n, 3)
-        trip.sort(key=lambda x: pos[x])
-        e1, mid, e2 = trip
-        if rng.random() < eps:
-            wrong = (e1, e2)[int(rng.integers(0, 2))]
-            rest = [x for x in trip if x != wrong]
-            out.append(Between(rest[0], wrong, rest[1]))
-        else:
-            out.append(Between(e1, mid, e2))
-    return out
-
-
-def _gen_nonbtw(gt: Ranking, m: int, eps: float, rng) -> list[Constraint]:
-    pos = gt.position
-    out = []
-    for _ in range(m):
-        trip = _distinct(rng, gt.n, 3)
-        trip.sort(key=lambda x: pos[x])
-        e1, mid, e2 = trip
-        if rng.random() < eps:
-            out.append(NotBetween(e1, e2, mid))
-        else:
-            outside = (e1, e2)[int(rng.integers(0, 2))]
-            rest = [x for x in trip if x != outside]
-            out.append(NotBetween(rest[0], rest[1], outside))
-    return out
-
-
-def _gen_cc(gt: Partition, m: int, eps: float, rng) -> list[Constraint]:
-    out = []
-    for _ in range(m):
-        a, b = _distinct(rng, gt.n, 2)
-        same = gt.labels[a] == gt.labels[b]
-        if rng.random() < eps:
-            same = not same
-        out.append(MustLink(a, b) if same else CannotLink(a, b))
-    return out
-
-
-# The three resolutions of a drawn triple xyz (xy|z, xz|y, yz|x) and of a
-# drawn quartet abcd (ab|cd, ac|bd, ad|bc), as orders of the drawn items.
-_TRIPLET_RESOLUTIONS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
-_QUARTET_RESOLUTIONS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
-
-
-def _gen_trees(gt, n: int, m1: int, m2: int, eps1: float, eps2: float, rng, rooted: bool):
-    """m1 forbidden, then m2 desired constraints. No draw depends on the
-    tree, so the true resolution of every drawn item set is read off it in one
-    predicate call after the draws."""
-    if rooted:
-        resolutions, classes = _TRIPLET_RESOLUTIONS, (ForbiddenTriplet, DesiredTriplet)
-    else:
-        resolutions, classes = _QUARTET_RESOLUTIONS, (ForbiddenQuartet, DesiredQuartet)
-    drawn = np.empty((m1 + m2, len(resolutions[0])), dtype=np.int64)
-    pick = np.full(m1 + m2, -1)
-    for i in range(m1 + m2):
-        desired = i >= m1
-        drawn[i] = _distinct(rng, n, drawn.shape[1])
-        # a correct forbidden or an erroneous desired constraint names one of
-        # the two wrong resolutions
-        if (rng.random() < (eps2 if desired else eps1)) == desired:
-            pick[i] = rng.integers(0, 2)
-    sets = drawn[:, resolutions]
-    # the desired class's predicate holds for exactly one resolution of each set
-    holds = CONSTRAINT_SPECS[classes[1]].holds(encode(gt), *np.moveaxis(sets, -1, 0))
-    true = np.argmax(holds, axis=1)
-    # pick numbers the two wrong resolutions in order, skipping the true one
-    idx = np.where(pick < 0, true, pick + (pick >= true))
-    columns = sets[np.arange(m1 + m2), idx].T.tolist()
-    return [classes[i >= m1](*items) for i, items in enumerate(zip(*columns))]
+        drawn += _distinct(rng, n, k)
+        ok = rng.random() >= eps
+        correct.append(ok)
+        pick.append(int(rng.integers(0, sides[ok])) if sides[ok] > 1 else 0)
+    sets = np.array(drawn, dtype=np.int64).reshape(m, k)
+    if isinstance(gt, Ranking):
+        # sorted by truth position, so that the pick numbers the wrong middle
+        # (btw) and the outside item (nonbtw) from the truth's first end, the
+        # order test_fixed_seed_instances_are_pinned holds the streams to
+        sets = np.take_along_axis(sets, np.argsort(gt.position[sets], axis=1), axis=1)
+    enc = encode(gt)
+    holds = np.stack(
+        [CONSTRAINT_SPECS[cls].holds(enc, *sets[:, order].T) for cls, order in candidates], axis=1
+    )
+    # keep the pick-th candidate on the drawn side, in table order
+    eligible = holds == np.array(correct, dtype=bool)[:, None]
+    chosen = eligible & (np.cumsum(eligible, axis=1) == np.array(pick)[:, None] + 1)
+    idx = np.argmax(chosen, axis=1)
+    orders = np.array([order for _, order in candidates])
+    items = sets[np.arange(m)[:, None], orders[idx]].tolist()
+    return [candidates[j][0](*it) for j, it in zip(idx.tolist(), items)]
 
 
 def generate(cfg: GeneratorConfig, gt: Solution, rng: np.random.Generator) -> Instance:
     """Draw the noisy constraints of one instance against a fixed ground truth."""
-    kind = cfg.kind
-    if kind == "mas":
-        cons = _gen_mas(gt, cfg.m, cfg.eps, rng)
-    elif kind == "btw":
-        cons = _gen_btw(gt, cfg.m, cfg.eps, rng)
-    elif kind == "nonbtw":
-        cons = _gen_nonbtw(gt, cfg.m, cfg.eps, rng)
-    elif kind == "cc":
-        cons = _gen_cc(gt, cfg.m, cfg.eps, rng)
-    elif kind == "triplets":
-        cons = _gen_trees(gt, cfg.n, cfg.m1, cfg.m2, cfg.eps1, cfg.eps2, rng, rooted=True)
+    if cfg.kind in TREE_KINDS:
+        counts = ((cfg.m1, cfg.eps1), (cfg.m2, cfg.eps2))
     else:
-        cons = _gen_trees(gt, cfg.n, cfg.m1, cfg.m2, cfg.eps1, cfg.eps2, rng, rooted=False)
-    return Instance(kind=kind, n=cfg.n, constraints=tuple(cons), ground_truth=gt)
+        counts = ((cfg.m, cfg.eps),)
+    cons: list[Constraint] = []
+    for family, (m, eps) in zip(_FAMILIES[cfg.kind], counts):
+        cons += _draw(family, gt, cfg.n, m, eps, rng)
+    return Instance(kind=cfg.kind, n=cfg.n, constraints=tuple(cons), ground_truth=gt)
 
 
 def make_instance(cfg: GeneratorConfig) -> Instance:

@@ -327,6 +327,12 @@ class Partition:
     def n(self) -> int:
         return len(self.labels)
 
+    @classmethod
+    def dense(cls, raw: Iterable[int]) -> Partition:
+        """The partition of raw cluster ids, relabeled densely by first appearance."""
+        seen: dict[int, int] = {}
+        return cls(tuple(seen.setdefault(int(x), len(seen)) for x in raw))
+
 
 @dataclass(frozen=True)
 class RootedBinaryTree:

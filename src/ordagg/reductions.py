@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .analysis import edge_side_items
 from .model import Ranking, RootedBinaryTree, UnrootedTree, rooted_from_nested
 
 
@@ -67,19 +68,6 @@ def project_with_random_swaps(t: RootedBinaryTree, rng: np.random.Generator) -> 
     return Ranking(tuple(out))
 
 
-def _subtree_leaves(t: UnrootedTree, start: int, banned: int) -> int:
-    count = 0
-    stack = [(start, banned)]
-    while stack:
-        v, parent = stack.pop()
-        if t.leaf_item[v] >= 0:
-            count += 1
-        for nb in t.adjacency[v]:
-            if nb != parent:
-                stack.append((nb, v))
-    return count
-
-
 def _read_subtree(t: UnrootedTree, start: int, parent: int, rng, out: list[int]) -> None:
     if t.leaf_item[start] >= 0:
         out.append(t.leaf_item[start])
@@ -100,7 +88,7 @@ def project_unrooted_with_random_swaps(t: UnrootedTree, rng: np.random.Generator
         return Ranking(tuple(x for x in t.leaf_item if x >= 0))
     best, best_size = internals[0], -1
     for v in internals:
-        size = max(_subtree_leaves(t, nb, v) for nb in t.adjacency[v])
+        size = max(len(edge_side_items(t, (nb, v))) for nb in t.adjacency[v])
         if size > best_size:
             best, best_size = v, size
     subtrees = list(t.adjacency[best])

@@ -37,20 +37,20 @@ def default_rank(n: int) -> int:
     return max(2, min(n + 1, s + 4))
 
 
+# the ascent stops once a step gains at most this much, relative
+ASCENT_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    rank: int | None = None
     max_iterations: int = 2000
     restarts: int = 8
     hyperplanes: int = 200
     rotation: bool = True
-    tol: float = 1e-7
     local_search: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank is not None and self.rank < 2:
-            raise ValueError("rank must be at least 2")
         if self.restarts < 1 or self.hyperplanes < 1:
             raise ValueError("restarts and hyperplanes must be positive")
         if self.max_iterations < 1:
@@ -64,7 +64,7 @@ class CutResult:
     sdp_objective: float
     restarts_used: int
     rounds_used: int
-    # steps of the relaxation ascent, and whether it met tol before
+    # steps of the relaxation ascent, and whether it met ASCENT_TOL before
     # max_iterations; a solve without an ascent (no edges) has nothing to climb
     ascent_iterations: int = 0
     converged: bool = True
@@ -222,10 +222,10 @@ def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResul
         return CutResult(frozenset(), 0.0, 0.0, 0, 0)
     M, const, D = _relaxation(g)
     local_search = _local_search_directed if g.directed else _local_search_undirected
-    k = cfg.rank if cfg.rank is not None else default_rank(n)
     base = cfg.seed if rng is None else int(rng.integers(0, 2**63 - 1))
     rr = np.random.default_rng((base, 0))
-    V, relax, steps, converged = _ascend(M, const, _shift(M), k, cfg.max_iterations, cfg.tol, rr)
+    V, relax, steps, converged = _ascend(M, const, _shift(M), default_rank(n),
+                                         cfg.max_iterations, ASCENT_TOL, rr)
     if g.directed and cfg.rotation:
         V = _rotate_to_v0(V)
     best_x = None

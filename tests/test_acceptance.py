@@ -178,11 +178,10 @@ def test_c07_planted_quartets_fractions():
 def test_c08_planted_clustering_beats_trivial_baselines():
     # one cut plus best-of-trivial sides reproduces a trivial baseline whenever
     # the hidden partition has three or more clusters, so the margin check
-    # exercises the recursive inner mode
+    # exercises the recursive decode
     diffs = []
     for seed in range(10):
-        inst, sol = _planted_solve("cc", 0.0, seed, balanced=True,
-                                   inner_cc_baseline="recursive-cut")
+        inst, sol = _planted_solve("cc", 0.0, seed, balanced=True, recursive=True)
         got = score(inst, sol).fraction
         one = score(inst, Partition((0,) * inst.n)).fraction
         alone = score(inst, Partition(tuple(range(inst.n)))).fraction

@@ -163,6 +163,8 @@ _MALFORMED_FLAGS = [
     (_CC, ["--cc-weight", "-inf"]),
     (_CC_TWO_LINKS, ["--cc-weight", "1e308"]),
     (_CC_TWO_LINKS, ["--cc-weight", "-1e308"]),
+    # one must-link: the total stays finite, twice it does not
+    (_CC, ["--cc-weight", "1e308"]),
 ]
 
 
@@ -172,7 +174,8 @@ _MALFORMED_FLAGS = [
          "bool-leaf", "float-leaf", "negative-n", "float-n", "top-level-list",
          "empty-tree", "items-shorter-than-adjacency",
          "restarts-0", "hyperplanes-0", "negative-seed", "cc-weight-nan", "cc-weight-inf",
-         "cc-weight-minus-inf", "cc-weight-overflows", "cc-weight-overflows-negative"])
+         "cc-weight-minus-inf", "cc-weight-overflows", "cc-weight-overflows-negative",
+         "cc-weight-overflows-local-search"])
 def test_solve_rejects_malformed_input(runner, tmp_path, obj, flags):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -204,6 +207,21 @@ def test_solve_reports_a_converged_ascent(runner, tmp_path):
     jsonschema.validate(report, SCHEMA)
     assert report["converged"] is True
     assert 0 < report["ascent_iterations"] < 2000
+
+
+def test_solve_recursive_splits_clustering_sides(runner, tmp_path):
+    inst = tmp_path / "cc.json"
+    res = runner.invoke(main, ["gen", "--kind", "cc", "--n", "45", "--m", "600", "--eps", "0.1",
+                               "--seed", "2", "--balanced", "--out", str(inst)])
+    assert res.exit_code == 0, res.output
+    satisfied = []
+    for flags in ([], ["--recursive"]):
+        res = runner.invoke(main, ["solve", "--in", str(inst), "--out", str(tmp_path / "s.json"),
+                                   *flags])
+        assert res.exit_code == 0, res.output
+        satisfied.append(json.loads((tmp_path / "s.report.json").read_text())["satisfied"])
+    flat, recursive = satisfied
+    assert recursive > flat, satisfied
 
 
 def test_solve_rejects_deeply_nested_json(runner, tmp_path):

@@ -92,7 +92,7 @@ def test_recursive_cut_recovers_planted_clusters():
     inst = make_instance(cfg)
     g = build(inst)
     cut = solve(g, SolverConfig(seed=3))
-    best = DecodeConfig(inner_cc_baseline="recursive-cut", seed=3)
+    best = DecodeConfig(recursive=True, seed=3)
     triv = DecodeConfig(seed=3)
     s_best = score(inst, decode_partition(inst, cut, best))
     s_triv = score(inst, decode_partition(inst, cut, triv))
@@ -251,5 +251,5 @@ def test_decode_dispatch_and_validity(rng):
         cut = solve(g, SolverConfig(restarts=2, hyperplanes=30, seed=12))
         sol = decode(inst, cut, DecodeConfig(), rng)
         assert validator(sol, 11) == []
-        sol_rec = decode(inst, cut, DecodeConfig(recursive=True, inner_cc_baseline="recursive-cut"), rng)
+        sol_rec = decode(inst, cut, DecodeConfig(recursive=True), rng)
         assert validator(sol_rec, 11) == []

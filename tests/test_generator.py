@@ -1,10 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from ordagg import generator, serialize
 from ordagg.analysis import balanced_edge, edge_side_items, expected_cut_fraction, median_cut
-from ordagg.evaluator import score
+from ordagg.evaluator import satisfies, score
 from ordagg.generator import (
     GeneratorConfig,
     generate,
@@ -14,6 +16,8 @@ from ordagg.generator import (
 from ordagg.graph import CutStatus, classify
 from ordagg.model import (
     KINDS,
+    DesiredQuartet,
+    DesiredTriplet,
     Partition,
     RootedBinaryTree,
     validate,
@@ -170,3 +174,85 @@ def test_resampling_failure_raises():
     cfg = GeneratorConfig(kind="cc", n=3, m=1, balanced=True)
     with pytest.raises(RuntimeError, match="attempt cap"):
         sample_ground_truth(cfg, np.random.default_rng(0))
+
+
+# sha256 of the serialized instance at seeds 3 and 11, n=12, 40 constraints,
+# eps 0.1, balanced for cc and triplets. A change to the draw stream must
+# change these on purpose.
+_PINNED = {
+    "mas": ("367c6b32e758261bab58deb079ab5aeb19004a21bb2760d3dc92c61000dca14f",
+            "6349c2fec7df3f6fcb36dea1b18237c179018aa872912c5e93eda535d56dc71c"),
+    "btw": ("5fe966c992fc553bb6f8aa1614b9aaa8572abdeda3fcf5ac8968fd4b9a45a341",
+            "2ed41f9a530916a9dad30b9f3786af79ff8455589579052e41b5a345399b2975"),
+    "nonbtw": ("142862579dc5c845c9ed07910ca04fdfb48d2dd005c4a9a8a54c0eb21b77e186",
+               "db373b64b76311b909bf55bf253b70ba932fbdc94d7c876714b03f7ea1b13c1c"),
+    "cc": ("b72a458588b252ef176bc2256eea44b19894d1f9c12c24f9d3b329e5e83356f4",
+           "71ed3db69849305b50bda00fc3a7514b91a5f46d671ada44adfac3fed55f1df5"),
+    "triplets": ("b78df083635507099f638ac6405b7f03857f5ed35a1c8eae461c03233cbe7bb5",
+                 "7eb57598eae6676f5c104beb0528bade00f93fb18e68894d732d445ae0494953"),
+    "quartets": ("3ec209dce284589371a5915c2e0475ee05acdf3afb439d21c3a7a1bd2dead027",
+                 "b67817c5c1db5895431f72f564d19aef92fa89462b8ba2c005ed9b90035d897e"),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fixed_seed_instances_are_pinned(kind):
+    balanced = kind in ("cc", "triplets")
+    digests = tuple(
+        hashlib.sha256(serialize.dumps(serialize.instance_to_obj(
+            make_instance(_cfg(kind, 12, 40, eps=0.1, seed=seed, balanced=balanced))
+        )).encode()).hexdigest()
+        for seed in (3, 11)
+    )
+    assert digests == _PINNED[kind]
+
+
+def _other(drawn, *named):
+    return next(x for x in drawn if x not in named)
+
+
+def _alternative(kind, c, drawn, gt) -> bool:
+    """Which of the two candidates on its side c is: told apart by truth order
+    for rankings and by draw order for trees."""
+    if kind in ("btw", "nonbtw"):
+        named = c.b if kind == "btw" else c.out
+        return named == min(drawn, key=lambda x: gt.position[x])
+    if kind == "triplets":
+        true_out = next(x for x in drawn if satisfies(DesiredTriplet(*_rest(drawn, x), x), gt))
+        other = _other(drawn, true_out, c.out)
+        return drawn.index(c.out) < drawn.index(other)
+    first = drawn[0]
+    partner = {c.a: c.b, c.b: c.a, c.c: c.d, c.d: c.c}[first]
+    true_partner = next(p for p in drawn[1:]
+                        if satisfies(DesiredQuartet(first, p, *_rest(drawn[1:], p)), gt))
+    other = _other(drawn[1:], true_partner, partner)
+    return drawn.index(partner) < drawn.index(other)
+
+
+def _rest(drawn, x):
+    return [y for y in drawn if y != x]
+
+
+@pytest.mark.parametrize("kind", ["btw", "nonbtw", "triplets", "quartets"])
+def test_wrong_alternatives_are_uniform(kind, monkeypatch):
+    # the erroneous btw middle, the correct nonbtw out, and the tree resolution
+    # a correct forbidden or an erroneous desired constraint names: each has
+    # two choices, picked uniformly
+    draws = []
+    distinct = generator._distinct
+
+    def recorded(rng, n, k):
+        draws.append(distinct(rng, n, k))
+        return draws[-1]
+
+    monkeypatch.setattr(generator, "_distinct", recorded)
+    m = 4000
+    if kind in ("triplets", "quartets"):
+        cfg = GeneratorConfig(kind=kind, n=20, m1=m, m2=m, eps1=0.0, eps2=1.0, seed=6)
+    else:
+        cfg = GeneratorConfig(kind=kind, n=20, m=m, eps=1.0 if kind == "btw" else 0.0, seed=6)
+    inst = make_instance(cfg)
+    picks = [_alternative(kind, c, d, inst.ground_truth)
+             for c, d in zip(inst.constraints, draws, strict=True)]
+    for start in range(0, len(picks), m):
+        assert 0.45 <= np.mean(picks[start:start + m]) <= 0.55
