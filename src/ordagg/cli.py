@@ -92,6 +92,8 @@ def _bound_from_meta(kind: str, meta: dict, instance) -> float | None:
 
 
 def _solve_instance(instance, scfg: solver.SolverConfig, dcfg: decoder.DecodeConfig):
+    """(cut, solution, per-layer milliseconds: build, ascent, rounding, decode)."""
+    t0 = time.perf_counter()
     g = graph.build(instance, cc_mustlink_weight=dcfg.cc_mustlink_weight)
     # twice the total absolute weight bounds every sum the relaxation, rounding
     # and local search take: local search adds twice a column, and a directed
@@ -100,10 +102,15 @@ def _solve_instance(instance, scfg: solver.SolverConfig, dcfg: decoder.DecodeCon
         if not math.isfinite(2.0 * float(np.abs(g.edge_arrays[2]).sum())):
             w = dcfg.cc_mustlink_weight
             raise click.UsageError(f"--cc-weight {w:g} makes the graph's total weight overflow")
+    t1 = time.perf_counter()
     cut = solver.solve(g, scfg)
+    t2 = time.perf_counter()
     rng = np.random.default_rng((dcfg.seed, 1))
     sol = decoder.decode(instance, cut, dcfg, rng)
-    return cut, sol
+    t3 = time.perf_counter()
+    ms = {"build_ms": (t1 - t0) * 1000.0, "ascent_ms": cut.ascent_ms,
+          "rounding_ms": cut.rounding_ms, "decode_ms": (t3 - t2) * 1000.0}
+    return cut, sol, {k: round(v, 3) for k, v in ms.items()}
 
 
 def _finite(ctx, param, value):
@@ -138,7 +145,7 @@ def cmd_solve(in_path, out, report_path, seed, restarts, hyperplanes, rotation,
     scfg = solver.SolverConfig(restarts=restarts, hyperplanes=hyperplanes,
                                rotation=rotation, seed=seed)
     dcfg = decoder.DecodeConfig(recursive=recursive, cc_mustlink_weight=cc_weight, seed=seed)
-    cut, sol = _solve_instance(instance, scfg, dcfg)
+    cut, sol, layer_ms = _solve_instance(instance, scfg, dcfg)
     sc = score(instance, sol)
     wall_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     report = {
@@ -154,6 +161,7 @@ def cmd_solve(in_path, out, report_path, seed, restarts, hyperplanes, rotation,
     bound = _bound_from_meta(instance.kind, meta, instance)
     if bound is not None:
         report["theoretical_bound"] = bound
+    report.update(layer_ms)
     report["wall_ms"] = wall_ms
     serialize.write_json(out, {"kind": instance.kind, "n": instance.n,
                                "solution": serialize.solution_to_obj(sol)})
@@ -183,8 +191,8 @@ def _bench_cell(cfg: generator.GeneratorConfig) -> dict:
     kind, n, seed = cfg.kind, cfg.n, cfg.seed
     t0 = time.perf_counter()
     inst = _make_instance(cfg)
-    _, sol = _solve_instance(inst, replace(_BENCH_SOLVER, seed=seed),
-                             decoder.DecodeConfig(seed=seed))
+    _, sol, _ = _solve_instance(inst, replace(_BENCH_SOLVER, seed=seed),
+                                decoder.DecodeConfig(seed=seed))
     sc = score(inst, sol)
     wall_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     rng = np.random.default_rng((seed, 2))
@@ -314,8 +322,8 @@ def cmd_oracle(kind, n, m, m1, m2, eps, eps1, eps2, count, seed, out):
     for cfg in configs:
         inst = _make_instance(cfg)
         _, best_score = oracle_best(inst)
-        _, sol = _solve_instance(inst, replace(_ORACLE_SOLVER, seed=cfg.seed),
-                                 decoder.DecodeConfig(seed=cfg.seed))
+        _, sol, _ = _solve_instance(inst, replace(_ORACLE_SOLVER, seed=cfg.seed),
+                                    decoder.DecodeConfig(seed=cfg.seed))
         sc = score(inst, sol)
         rng = np.random.default_rng((cfg.seed, 2))
         base = score(inst, random_solution(kind, n, rng))

@@ -90,7 +90,8 @@ def _grouping_hits_balance(sizes: list[int], n: int) -> bool:
 
 
 def _sample_partition(cfg: GeneratorConfig, rng: np.random.Generator) -> Partition:
-    kmax = max(2, math.isqrt(cfg.n))
+    # a balanced draw at odd n needs a third cluster to keep every one at most n/2
+    kmax = max(3 if cfg.balanced else 2, math.isqrt(cfg.n))
     for _ in range(MAX_RESAMPLES):
         k = int(rng.integers(2, kmax + 1))
         p = Partition.dense(rng.integers(0, k, size=cfg.n))

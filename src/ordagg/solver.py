@@ -2,15 +2,19 @@
 
 The semidefinite relaxation is optimized in low-rank form: one unit row per
 node (directed graphs add a distinguished row v0), and ascent steps
-V <- row_normalize(M V + c V). The shift c is -lambda_min(M), computed once
-per solve, plus a tiny margin: the smallest shift that keeps M + cI positive
-semidefinite, so every step increases tr(V^T M V) with the largest steps
-that guarantee it (Journee, Bach, Absil and Sepulchre's generalized power
-method). Iteration stops on a relative tolerance. Each solve runs this ascent
-once: at rank about sqrt(2n) it has no spurious local optima for generic
-costs (Boumal, Voroninski and Bandeira), and hyperplane rounding is invariant
-under rotations of V, so a second ascent would add no variety that rounding
-does not.
+V <- row_normalize(M V + diag(c) V), the generalized power method of Journee,
+Bach, Absil and Sepulchre. Each row takes its own shift c_i = s d_i, with d_i
+the row's absolute weight sum_j |M_ij| and s the smallest scale that keeps
+M + diag(c) positive semidefinite: -lambda_min(D^-1/2 M D^-1/2), computed once
+per solve, plus a tiny margin. Rows have unit length, so tr(V^T diag(c) V) is
+a constant and every step increases tr(V^T M V). A row's step then moves in
+proportion to its own weight rather than to the heaviest row's: on `mas`,
+whose M is a star around v0, a single shift -lambda_min(M) made light rows
+turn toward +-v0 over hundreds of steps. Iteration stops on a relative
+tolerance. Each solve runs this ascent once: at rank about sqrt(2n) it has no
+spurious local optima for generic costs (Boumal, Voroninski and Bandeira), and
+hyperplane rounding is invariant under rotations of V, so a second ascent
+would add no variety that rounding does not.
 Each of the `restarts` rounding rounds then draws a batch of random
 hyperplanes from that one V and keeps the best cut; directed rounding can
 first rotate every row into the plane it spans with v0, at the angle f_half
@@ -23,7 +27,8 @@ polishes each round's cut, and the best round wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +73,10 @@ class CutResult:
     # max_iterations; a solve without an ascent (no edges) has nothing to climb
     ascent_iterations: int = 0
     converged: bool = True
+    # wall time of the relaxation (building M, its shift and the ascent) and
+    # of the rounding rounds with their local search; not part of the result
+    ascent_ms: float = field(default=0.0, compare=False)
+    rounding_ms: float = field(default=0.0, compare=False)
 
 
 def f_half(theta):
@@ -88,22 +97,33 @@ def _row_normalize(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _shift(M: np.ndarray) -> float:
-    """Smallest c with M + cI positive semidefinite, plus a margin of 1e-9
-    times the Gershgorin bound against eigenvalue rounding; a zero M (a
-    directed graph whose weights cancel) takes any positive shift."""
-    gershgorin = float(np.abs(M).sum(axis=1).max())
-    lam_min = float(np.linalg.eigvalsh(M)[0])
-    return (max(0.0, -lam_min) + 1e-9 * gershgorin) or 1.0
+def _shift(M: np.ndarray) -> np.ndarray:
+    """Per-row shifts c = s d with M + diag(c) positive semidefinite: d_i is
+    row i's absolute weight (1 for an empty row) and s the smallest valid
+    scale, -lambda_min(D^-1/2 M D^-1/2), plus a margin of 1e-9 against
+    eigenvalue rounding (the normalized matrix's spectrum lies in [-1, 1]).
+    Every c_i is positive, also for a zero M (a directed graph whose weights
+    cancel). One n x n buffer holds |M| and then the normalized matrix."""
+    N = np.abs(M)
+    d = N.sum(axis=1)
+    d[d == 0.0] = 1.0
+    r = 1.0 / np.sqrt(d)
+    np.multiply(M, r[:, None], out=N)
+    N *= r
+    lam_min = float(np.linalg.eigvalsh(N)[0])
+    return (max(0.0, -lam_min) + 1e-9) * d
 
 
-def _ascend(M: np.ndarray, const: float, c: float, k: int, max_iterations: int, tol: float, rng):
-    """(V, value, steps, converged): the ascent from a random rank-k start
-    until a step gains at most tol relative, or for max_iterations steps."""
+def _ascend(M: np.ndarray, const: float, c: np.ndarray, k: int, max_iterations: int,
+            tol: float, rng):
+    """(V, value, steps, converged): the ascent with per-row shifts c from a
+    random rank-k start until a step gains at most tol relative, or for
+    max_iterations steps."""
     n = M.shape[0]
     V = _row_normalize(rng.standard_normal((n, k)))
     MV = M @ V
     value = const + float(np.vdot(V, MV))
+    c = c[:, None]
     for step in range(1, max_iterations + 1):
         V *= c
         V += MV
@@ -220,12 +240,14 @@ def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResul
     n = g.n
     if n == 0 or not g.weights:
         return CutResult(frozenset(), 0.0, 0.0, 0, 0)
+    t0 = time.perf_counter()
     M, const, D = _relaxation(g)
     local_search = _local_search_directed if g.directed else _local_search_undirected
     base = cfg.seed if rng is None else int(rng.integers(0, 2**63 - 1))
     rr = np.random.default_rng((base, 0))
     V, relax, steps, converged = _ascend(M, const, _shift(M), default_rank(n),
                                          cfg.max_iterations, ASCENT_TOL, rr)
+    t1 = time.perf_counter()
     if g.directed and cfg.rotation:
         V = _rotate_to_v0(V)
     best_x = None
@@ -242,8 +264,10 @@ def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResul
             best_x = x
     S = frozenset(int(i) for i in np.nonzero(best_x)[0])
     weight = cut_weight(g, S)
+    t2 = time.perf_counter()
     return CutResult(S, weight, max(relax, weight), cfg.restarts,
-                     cfg.restarts * cfg.hyperplanes, steps, converged)
+                     cfg.restarts * cfg.hyperplanes, steps, converged,
+                     (t1 - t0) * 1000.0, (t2 - t1) * 1000.0)
 
 
 def brute_force_cut(g: SignedGraph) -> CutResult:

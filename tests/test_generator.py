@@ -98,17 +98,29 @@ def test_tree_kinds_emit_forbidden_before_desired():
     assert names[5:] == ["DesiredQuartet"] * 7
 
 
+def _assert_balanced(labels, n):
+    sizes = np.bincount(labels)
+    assert 2 * sizes.max() <= n
+    # some grouping into two sides lands in [n/3, 2n/3]
+    reachable = {0}
+    for s in sizes:
+        reachable |= {r + s for r in reachable}
+    assert any(math.ceil(n / 3) <= t <= n * 2 // 3 for t in reachable)
+
+
 def test_balanced_partition_constraints_hold():
     for seed in range(30):
         cfg = GeneratorConfig(kind="cc", n=13, m=1, balanced=True, seed=seed)
         gt = sample_ground_truth(cfg, np.random.default_rng(seed))
-        sizes = np.bincount(gt.labels)
-        assert 2 * sizes.max() <= 13
-        # some grouping into two sides lands in [n/3, 2n/3]
-        reachable = {0}
-        for s in sizes:
-            reachable |= {r + s for r in reachable}
-        assert any(math.ceil(13 / 3) <= t <= 13 * 2 // 3 for t in reachable)
+        _assert_balanced(gt.labels, 13)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_balanced_partition_at_small_n(n):
+    # odd n below 9 needs a third cluster: two can never both stay at n/2
+    for seed in range(10):
+        cfg = GeneratorConfig(kind="cc", n=n, m=4 * n, eps=0.1, balanced=True, seed=seed)
+        _assert_balanced(make_instance(cfg).ground_truth.labels, n)
 
 
 def test_balanced_rooted_root_split():
@@ -169,11 +181,13 @@ def test_quartet_disobeyed_fraction_tracks_balanced_edge():
     assert statuses.count(CutStatus.DISOBEYED) == 0
 
 
-def test_resampling_failure_raises():
-    # n=3 with at most 2 labels can never keep the largest cluster at n/2
-    cfg = GeneratorConfig(kind="cc", n=3, m=1, balanced=True)
-    with pytest.raises(RuntimeError, match="attempt cap"):
-        sample_ground_truth(cfg, np.random.default_rng(0))
+def test_resampling_failure_raises(monkeypatch):
+    # with no attempts allowed, a balanced draw stops at the cap
+    monkeypatch.setattr(generator, "MAX_RESAMPLES", 0)
+    for cfg in (GeneratorConfig(kind="cc", n=9, m=1, balanced=True),
+                GeneratorConfig(kind="triplets", n=9, m1=1, m2=1, balanced=True)):
+        with pytest.raises(RuntimeError, match="attempt cap"):
+            sample_ground_truth(cfg, np.random.default_rng(0))
 
 
 # sha256 of the serialized instance at seeds 3 and 11, n=12, 40 constraints,

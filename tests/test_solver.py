@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ordagg import solver
-from ordagg.graph import SignedGraph, cut_weight
+from ordagg.generator import GeneratorConfig, make_instance
+from ordagg.graph import SignedGraph, build, cut_weight
 from ordagg.solver import (
     CutResult,
     SolverConfig,
@@ -279,9 +280,13 @@ def test_shift_is_the_smallest_that_makes_the_relaxation_psd():
             continue
         M, _, _ = _relaxation(g)
         c = _shift(M)
-        lam = np.linalg.eigvalsh(M + c * np.eye(len(M)))[0]
-        # PSD, and only the 1e-9 Gershgorin margin above the boundary
-        assert 0.0 <= lam <= 1e-8 * np.abs(M).sum(axis=1).max()
+        d = np.abs(M).sum(axis=1)
+        d[d == 0.0] = 1.0
+        r = 1.0 / np.sqrt(d)
+        lam = np.linalg.eigvalsh(r[:, None] * (M + np.diag(c)) * r[None, :])[0]
+        # PSD, and only the 1e-9 margin above the boundary in the normalized
+        # scale: no smaller multiple of the row weights would do
+        assert 0.0 <= lam <= 1e-8
 
 
 def test_shift_is_positive_when_the_relaxation_vanishes():
@@ -289,7 +294,24 @@ def test_shift_is_positive_when_the_relaxation_vanishes():
     g = _dir(3, {(0, 1): 1, (1, 0): -1, (1, 2): 1, (2, 1): -1, (2, 0): 1, (0, 2): -1})
     M, _, _ = _relaxation(g)
     assert not M.any()
-    assert _shift(M) > 0.0
+    c = _shift(M)
+    assert c.shape == (len(M),) and np.all(c > 0.0)
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_mas_ascent_reaches_the_optimum(n):
+    # a mas relaxation is a star around v0 whose optimum is the best cut; the
+    # per-row shift moves each row half way toward it per step, so the ascent
+    # reaches it in a few steps
+    for seed in range(40):
+        cfg = GeneratorConfig(kind="mas", n=n, m=4 * n, eps=(seed % 6) / 10, seed=seed)
+        g = build(make_instance(cfg))
+        M, const, _ = _relaxation(g)
+        _, value, steps, converged = _ascend(M, const, _shift(M), default_rank(n), 2000,
+                                             solver.ASCENT_TOL, np.random.default_rng((seed, 0)))
+        opt = brute_force_cut(g).weight
+        assert converged and steps <= 20
+        assert abs(value - opt) <= 1e-6 * max(1.0, opt)
 
 
 def test_ascent_is_monotone():
