@@ -90,11 +90,10 @@ def measure(kind: str, n: int, m: int, sha: str) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--only", default=None, help="comma-separated kinds to run")
-    ap.add_argument("--out", type=Path, default=OUT)
     args = ap.parse_args()
     kinds = None if args.only is None else set(args.only.split(","))
     sha = _git_sha()
-    rows = json.loads(args.out.read_text()) if args.out.exists() else []
+    rows = json.loads(OUT.read_text()) if OUT.exists() else []
     for kind, n, m in ROWS:
         if kinds is not None and kind not in kinds:
             continue
@@ -102,7 +101,7 @@ def main() -> None:
         print(json.dumps(row), flush=True)
         rows.append(row)
         # written after every row, so an interrupted run keeps what it measured
-        args.out.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+        OUT.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
 
 
 if __name__ == "__main__":

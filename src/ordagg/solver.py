@@ -7,12 +7,12 @@ Bach, Absil and Sepulchre. Each row takes its own shift c_i = s d_i, with d_i
 the row's absolute weight sum_j |M_ij| and s the smallest scale that keeps
 M + diag(c) positive semidefinite: -lambda_min(D^-1/2 M D^-1/2), computed once
 per solve, plus a tiny margin. Rows have unit length, so tr(V^T diag(c) V) is
-a constant and every step increases tr(V^T M V). A row's step then moves in
-proportion to its own weight rather than to the heaviest row's: on `mas`,
-whose M is a star around v0, a single shift -lambda_min(M) made light rows
-turn toward +-v0 over hundreds of steps. Iteration stops on a relative
-tolerance. Each solve runs this ascent once: at rank about sqrt(2n) it has no
-spurious local optima for generic costs (Boumal, Voroninski and Bandeira), and
+a constant and every step increases tr(V^T M V). Each row's step is sized by
+its own weight rather than by the heaviest row's, so on `mas`, whose M is a
+star around v0, every row turns about half way toward +-v0 per step and the
+ascent converges in a few steps. Iteration stops on a relative tolerance.
+Each solve runs this ascent once: at rank about sqrt(2n) it has no spurious
+local optima for generic costs (Boumal, Voroninski and Bandeira), and
 hyperplane rounding is invariant under rotations of V, so a second ascent
 would add no variety that rounding does not.
 Each of the `restarts` rounding rounds then draws a batch of random
