@@ -1,32 +1,33 @@
 """Time each pipeline layer at sizes past the benchmark's and append the rows
 to BENCH_scale.json.
 
-    PYTHONPATH=src python scripts/bench_scale.py            # every row
-    PYTHONPATH=src python scripts/bench_scale.py --only mas  # rows of one kind
+    PYTHONPATH=src python scripts/bench_scale.py
 
-Each row runs one instance through gen, build, solve, decode, score and
-serialize (`instance_to_obj` plus `dumps`, no file write) with seed 0, eps
-0.1 and the default configs, and records each layer's milliseconds with the
+Each row generates one instance, solves and decodes it with the `solve`
+command's pipeline (`cli._solve_instance`, default configs, seed 0, eps 0.1),
+scores it and serializes it (`instance_to_obj` plus `dumps`, no file write).
+It records the milliseconds of gen, score and serialize, timed here, and of
+build, ascent, rounding and decode, as the `solve` report names them, with the
 cut weight, the relaxation objective, the ascent's steps and whether it
 converged. A row names the git commit of the `ordagg` package it imported, so
 pointing PYTHONPATH at another checkout's `src` records that commit, and the
-machine's CPU count. Rows are appended, never rewritten. One run per row:
-treat the times as rough.
+machine's CPU count; that checkout's `_solve_instance` must return the layer
+times. Rows are appended, never rewritten; the rows of 4b60776 and 95c71c0
+have one `solve` layer (the `solver.solve` call, which the ascent and rounding
+layers now split) and no overflow check in build. One run per row: treat the
+times as rough.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
 import time
 from pathlib import Path
 
-import numpy as np
-
 import ordagg
-from ordagg import decoder, evaluator, generator, graph, serialize, solver
+from ordagg import cli, decoder, evaluator, generator, serialize, solver
 from ordagg.model import TREE_KINDS
 
 # (kind, n, m); tree kinds split m into m // 2 forbidden and the rest desired
@@ -68,12 +69,10 @@ def measure(kind: str, n: int, m: int, sha: str) -> dict:
         ms[layer] = round((time.perf_counter() - t) * 1000.0, 1)
         return out
 
-    cfg = _config(kind, n, m)
-    inst = timed("gen", generator.make_instance, cfg)
-    g = timed("build", graph.build, inst)
-    cut = timed("solve", solver.solve, g, solver.SolverConfig(seed=SEED))
-    sol = timed("decode", decoder.decode, inst, cut, decoder.DecodeConfig(seed=SEED),
-                np.random.default_rng((SEED, 1)))
+    inst = timed("gen", generator.make_instance, _config(kind, n, m))
+    cut, sol, layer_ms = cli._solve_instance(inst, solver.SolverConfig(seed=SEED),
+                                             decoder.DecodeConfig(seed=SEED))
+    ms.update((k.removesuffix("_ms"), round(v, 1)) for k, v in layer_ms.items())
     sc = timed("score", evaluator.score, inst, sol)
     timed("serialize", lambda: serialize.dumps(serialize.instance_to_obj(inst)))
     return {
@@ -88,15 +87,9 @@ def measure(kind: str, n: int, m: int, sha: str) -> dict:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--only", default=None, help="comma-separated kinds to run")
-    args = ap.parse_args()
-    kinds = None if args.only is None else set(args.only.split(","))
     sha = _git_sha()
     rows = json.loads(OUT.read_text()) if OUT.exists() else []
     for kind, n, m in ROWS:
-        if kinds is not None and kind not in kinds:
-            continue
         row = measure(kind, n, m, sha)
         print(json.dumps(row), flush=True)
         rows.append(row)

@@ -18,7 +18,8 @@ def bench_scale():
 def test_row_carries_every_layer_and_the_solve_outcome(bench_scale, kind):
     row = bench_scale.measure(kind, 12, 60, "abc")
     assert row["sha"] == "abc" and (row["kind"], row["n"], row["m"]) == (kind, 12, 60)
-    assert set(row["ms"]) == {"gen", "build", "solve", "decode", "score", "serialize"}
+    assert set(row["ms"]) == {"gen", "build", "ascent", "rounding", "decode", "score",
+                             "serialize"}
     assert all(v >= 0.0 for v in row["ms"].values())
     assert row["converged"] and row["ascent_iterations"] > 0
     assert row["sdp_objective"] >= row["cut_weight"] > 0
