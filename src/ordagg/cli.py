@@ -27,18 +27,8 @@ def main():
 
 def _generator_config(kind, n, m, m1, m2, eps, eps1, eps2, balanced, seed):
     try:
-        if kind in TREE_KINDS:
-            if m:
-                raise ValueError(f"kind {kind} takes --m1/--m2, not --m")
-            return generator.GeneratorConfig(
-                kind=kind, n=n, m1=m1, m2=m2, eps1=eps1, eps2=eps2,
-                balanced=balanced, seed=seed,
-            )
-        if m1 or m2:
-            raise ValueError(f"kind {kind} takes --m, not --m1/--m2")
-        return generator.GeneratorConfig(
-            kind=kind, n=n, m=m, eps=eps, balanced=balanced, seed=seed,
-        )
+        return generator.GeneratorConfig(kind=kind, n=n, m=m, m1=m1, m2=m2, eps=eps, eps1=eps1,
+                                         eps2=eps2, balanced=balanced, seed=seed)
     except ValueError as e:
         raise click.UsageError(str(e))
 

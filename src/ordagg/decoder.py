@@ -1,31 +1,46 @@
 """Turn a two-sided cut into a full solution for each kind.
 
-The default decoders fill each side uniformly at random: a random order within
-both ranking blocks, trivial clusterings per side, uniform tree shapes per
-side joined at the top. Recursion re-solves the induced sub-instance of a side
-instead, falling back to the default fill below _MIN_RECURSION_SIZE items or
-when a side carries no constraints; a clustering keeps a side's recursive
-split only where it scores at least as well as the side's better trivial
-clustering. Betweenness objectives are blind to a global reversal, so a
-recursively decoded block arrives with an arbitrary direction; the recursive
-ranking path therefore keeps whichever block orientations satisfy the most
-constraints at each join.
+One recursion serves all six kinds, driven by the per-kind table _RULES. The
+cut splits the items into two sides; each side gets a part, a solution on the
+side's own items, and the kind's join puts the two parts together. A side's
+default part is its kind's fill: a uniformly random order for a ranking, the
+better of one cluster and all singletons for a clustering, a uniformly random
+rooted tree for both tree kinds. With DecodeConfig.recursive a side with at
+least _MIN_RECURSION_SIZE items that carries a constraint re-solves its
+induced sub-instance instead, and decodes that inner cut the same way when the
+cut splits it; a clustering keeps such a split only where it scores at least
+as well as the side's fill.
+
+Rankings join one block after the other. Betweenness objectives are blind to a
+global reversal, so a recursively decoded block arrives with an arbitrary
+direction; the recursive betweenness join therefore keeps whichever block
+orientations satisfy the most constraints. Clusterings join side by side and
+rooted trees under a new root; only at the top, quartets join their two rooted
+trees into an unrooted one by linking the roots. A cut that does not split the
+items decodes to the kind's fill of all of them (a uniform unrooted tree for
+quartets).
+
+build, solve and score are looked up as this module's names at each call, so a
+wrapper put in their place sees every inner solve and score.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .evaluator import (
+    random_ranking,
     random_rooted_tree,
     random_unrooted_tree,
     score,
 )
 from .graph import build
 from .model import (
+    TREE_KINDS,
     Instance,
     Partition,
     Ranking,
@@ -57,172 +72,60 @@ def _split(instance: Instance, cut: CutResult) -> tuple[list[int], list[int]]:
 
 
 def _induce(instance: Instance, side: list[int]) -> Instance:
-    """Sub-instance on the side's items, relabeled to 0..len(side)-1."""
-    local = {item: i for i, item in enumerate(side)}
-    kept = []
-    for c in instance.constraints:
-        items = c.items()
-        if all(x in local for x in items):
-            kept.append(type(c)(*(local[x] for x in items)))
-    return Instance(kind=instance.kind, n=len(side), constraints=tuple(kept))
+    """Sub-instance on the side's items, relabeled to 0..len(side)-1. The side
+    is sorted, so the relabeling keeps every pair smaller-index-first."""
+    local = np.full(instance.n, -1)
+    local[side] = np.arange(len(side))
+    constraints = []
+    for cls, columns in instance.grouped.items():
+        cols = local[np.stack(columns)]
+        cols = cols[:, (cols >= 0).all(axis=0)]
+        constraints.extend(map(cls, *cols.tolist()))
+    return Instance(kind=instance.kind, n=len(side), constraints=tuple(constraints))
 
 
-def _recursion_applies(sub: Instance) -> bool:
-    return sub.n >= _MIN_RECURSION_SIZE and len(sub.constraints) > 0
+def _best(instance: Instance, *candidates: Solution) -> Solution:
+    """The first candidate that satisfies the most constraints."""
+    return max(candidates, key=lambda s: score(instance, s).satisfied)
 
 
-def _inner_solve(sub: Instance, cfg: DecodeConfig, rng) -> CutResult:
-    g = build(sub, cc_mustlink_weight=cfg.cc_mustlink_weight)
-    return solve(g, _INNER_SOLVER, rng)
+def _trivial(instance: Instance) -> Partition:
+    """The better of one cluster and all singletons; ties keep one cluster."""
+    return _best(instance, Partition((0,) * instance.n), Partition(tuple(range(instance.n))))
 
 
-def _best_block_orientation(instance: Instance, first: list[int], second: list[int]) -> Ranking:
-    """Try both directions per block; ties keep the unflipped candidate."""
-    best = None
-    best_sat = -1
-    for flip_a in (False, True):
-        for flip_b in (False, True):
-            a = first[::-1] if flip_a else first
-            b = second[::-1] if flip_b else second
-            cand = Ranking(tuple(a + b))
-            sat = score(instance, cand).satisfied
-            if sat > best_sat:
-                best, best_sat = cand, sat
-    return best
-
-
-def decode_ranking(instance: Instance, cut: CutResult, cfg: DecodeConfig | None = None, rng=None) -> Ranking:
-    """S first, then the complement; precedence cuts put the source side first."""
-    if instance.kind not in ("mas", "btw", "nonbtw"):
-        raise ValueError(f"kind {instance.kind} does not decode to a ranking")
-    cfg = cfg or DecodeConfig()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    S, T = _split(instance, cut)
-
-    def fill(side: list[int]) -> list[int]:
-        if cfg.recursive and len(side) < instance.n:
-            sub = _induce(instance, side)
-            if _recursion_applies(sub):
-                inner = _inner_solve(sub, cfg, rng)
-                local = decode_ranking(sub, inner, cfg, rng)
-                return [side[i] for i in local.order]
-        return [side[int(i)] for i in rng.permutation(len(side))]
-
-    first, second = fill(S), fill(T)
-    if cfg.recursive and instance.kind != "mas":
+def _join_ranking(instance, S, T, a: Ranking, b: Ranking, cfg) -> Ranking:
+    """S's block first; precedence cuts put the source side first."""
+    first, second = [S[i] for i in a.order], [T[i] for i in b.order]
+    if not cfg.recursive or instance.kind == "mas":
         # comparison arcs are directed, so only the reversal-blind kinds
         # get their block directions picked by score
-        return _best_block_orientation(instance, first, second)
-    return Ranking(tuple(first + second))
+        return Ranking(tuple(first + second))
+    # ties keep the unflipped candidate
+    return _best(instance, *(Ranking(tuple(x + y))
+                             for x in (first, first[::-1]) for y in (second, second[::-1])))
 
 
-def _cluster_side(sub: Instance, cfg: DecodeConfig, rng) -> tuple[int, ...]:
-    """The better of one cluster and all singletons (ties keep one cluster);
-    when decoding recursively, a recursive split of the side instead when it
-    scores at least as well."""
-    def satisfied(p: Partition) -> int:
-        return score(sub, p).satisfied
-
-    trivial = max((Partition((0,) * sub.n), Partition(tuple(range(sub.n)))), key=satisfied)
-    if not cfg.recursive or not _recursion_applies(sub):
-        return trivial.labels
-    inner = _inner_solve(sub, cfg, rng)
-    S, T = _split(sub, inner)
-    if not S or not T:
-        return trivial.labels
-    labels = [0] * sub.n
-    offset = 0
-    for side in (S, T):
-        part = _induce(sub, side)
-        side_labels = _cluster_side(part, cfg, rng)
-        for item, l in zip(side, side_labels):
-            labels[item] = l + offset
-        offset += max(side_labels) + 1
-    return max((Partition(tuple(labels)), trivial), key=satisfied).labels
-
-
-def decode_partition(instance: Instance, cut: CutResult, cfg: DecodeConfig | None = None, rng=None) -> Partition:
-    if instance.kind != "cc":
-        raise ValueError(f"kind {instance.kind} does not decode to a partition")
-    cfg = cfg or DecodeConfig()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    S, T = _split(instance, cut)
+def _join_partition(instance, S, T, a: Partition, b: Partition, cfg) -> Partition:
     labels = [0] * instance.n
-    offset = 0
-    for side in (S, T):
-        if not side:
-            continue
-        sub = _induce(instance, side)
-        side_labels = _cluster_side(sub, cfg, rng)
-        for item, l in zip(side, side_labels):
-            labels[item] = l + offset
-        offset += max(side_labels) + 1
+    for side, part, offset in ((S, a, 0), (T, b, max(a.labels) + 1)):
+        for item, label in zip(side, part.labels):
+            labels[item] = label + offset
     return Partition.dense(labels)
 
 
-def _retag_rooted(t: RootedBinaryTree, side: list[int]) -> RootedBinaryTree:
+def _retag(t: RootedBinaryTree, side: list[int]) -> RootedBinaryTree:
     leaf_item = tuple(-1 if x < 0 else side[x] for x in t.leaf_item)
     return RootedBinaryTree(t.parent, t.left, t.right, leaf_item, t.root)
 
 
-def decode_rooted_tree(instance: Instance, cut: CutResult, cfg: DecodeConfig | None = None, rng=None) -> RootedBinaryTree:
-    if instance.kind != "triplets":
-        raise ValueError(f"kind {instance.kind} does not decode to a rooted tree")
-    cfg = cfg or DecodeConfig()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    S, T = _split(instance, cut)
-    if not S or not T:
-        log.warning("degenerate cut, decoding to a uniform random tree")
-        return random_rooted_tree(instance.n, rng)
-
-    def side_tree(side: list[int]) -> RootedBinaryTree:
-        if cfg.recursive and len(side) > 1:
-            sub = _induce(instance, side)
-            if _recursion_applies(sub):
-                inner = _inner_solve(sub, cfg, rng)
-                inner_S = sorted(int(i) for i in inner.S)
-                if 0 < len(inner_S) < sub.n:
-                    return _retag_rooted(decode_rooted_tree(sub, inner, cfg, rng), side)
-        return random_rooted_tree(len(side), rng, items=side)
-
-    return join_rooted(side_tree(S), side_tree(T))
+def _join_rooted(instance, S, T, a: RootedBinaryTree, b: RootedBinaryTree, cfg) -> RootedBinaryTree:
+    return join_rooted(_retag(a, S), _retag(b, T))
 
 
-def _join_unrooted(ta: UnrootedTree, tb: UnrootedTree, rng) -> UnrootedTree:
-    """Bridge two trees; an edge of each is subdivided to host the bridge end."""
-    adj = [list(nb) for nb in ta.adjacency]
-    leaf_item = list(ta.leaf_item)
-    offset = len(adj)
-    for nb in tb.adjacency:
-        adj.append([x + offset for x in nb])
-    leaf_item.extend(tb.leaf_item)
-
-    def attach_point(t: UnrootedTree, off: int) -> int:
-        if t.node_count == 1:
-            return off
-        edges = t.edges()
-        u, v = edges[int(rng.integers(0, len(edges)))]
-        u += off
-        v += off
-        w = len(adj)
-        adj.append([u, v])
-        leaf_item.append(-1)
-        adj[u][adj[u].index(v)] = w
-        adj[v][adj[v].index(u)] = w
-        return w
-
-    pa = attach_point(ta, 0)
-    pb = attach_point(tb, offset)
-    adj[pa].append(pb)
-    adj[pb].append(pa)
-    return UnrootedTree(tuple(tuple(nb) for nb in adj), tuple(leaf_item))
-
-
-def _rooted_shape_join(left: RootedBinaryTree, right: RootedBinaryTree) -> UnrootedTree:
+def _rooted_shape_join(instance, S, T, a: RootedBinaryTree, b: RootedBinaryTree, cfg) -> UnrootedTree:
     """Connect the two roots by an edge; every internal node keeps degree 3."""
+    left, right = _retag(a, S), _retag(b, T)
     adj: list[list[int]] = [[] for _ in range(left.node_count + right.node_count)]
     leaf_item = list(left.leaf_item) + list(right.leaf_item)
     for t, off in ((left, 0), (right, left.node_count)):
@@ -236,43 +139,60 @@ def _rooted_shape_join(left: RootedBinaryTree, right: RootedBinaryTree) -> Unroo
     return UnrootedTree(tuple(tuple(nb) for nb in adj), tuple(leaf_item))
 
 
-def decode_unrooted_tree(instance: Instance, cut: CutResult, cfg: DecodeConfig | None = None, rng=None) -> UnrootedTree:
-    if instance.kind != "quartets":
-        raise ValueError(f"kind {instance.kind} does not decode to an unrooted tree")
-    cfg = cfg or DecodeConfig()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    S, T = _split(instance, cut)
-    if not S or not T:
-        log.warning("degenerate cut, decoding to a uniform random tree")
-        return random_unrooted_tree(instance.n, rng)
-    if cfg.recursive:
+class _Rule(NamedTuple):
+    """How one kind decodes. fill(instance, side, rng) is a side's default
+    part and join(instance, S, T, part of S, part of T, cfg) the part of both;
+    a part is a solution on its side's items relabeled 0..len(side)-1.
+    whole(instance, items, rng), where set, replaces the fill of all items
+    when the cut does not split them; top, where set, replaces the join at
+    the top."""
 
-        def side_tree(side: list[int]) -> UnrootedTree:
-            if len(side) > 3:
-                sub = _induce(instance, side)
-                if _recursion_applies(sub):
-                    inner = _inner_solve(sub, cfg, rng)
-                    inner_S = sorted(int(i) for i in inner.S)
-                    if 0 < len(inner_S) < sub.n:
-                        local = decode_unrooted_tree(sub, inner, cfg, rng)
-                        leaf_item = tuple(-1 if x < 0 else side[x] for x in local.leaf_item)
-                        return UnrootedTree(local.adjacency, leaf_item)
-            return random_unrooted_tree(len(side), rng, items=side)
+    fill: Callable
+    join: Callable
+    whole: Callable | None = None
+    top: Callable | None = None
 
-        return _join_unrooted(side_tree(S), side_tree(T), rng)
-    return _rooted_shape_join(
-        random_rooted_tree(len(S), rng, items=S),
-        random_rooted_tree(len(T), rng, items=T),
-    )
+
+def _rooted_fill(instance, side, rng) -> RootedBinaryTree:
+    return random_rooted_tree(len(side), rng)
+
+
+_RANKING = _Rule(lambda instance, side, rng: random_ranking(len(side), rng), _join_ranking)
+_RULES: dict[str, _Rule] = {
+    "mas": _RANKING,
+    "btw": _RANKING,
+    "nonbtw": _RANKING,
+    "cc": _Rule(lambda instance, side, rng: _trivial(_induce(instance, side)), _join_partition),
+    "triplets": _Rule(_rooted_fill, _join_rooted),
+    "quartets": _Rule(_rooted_fill, _join_rooted,
+                      whole=lambda instance, items, rng: random_unrooted_tree(len(items), rng),
+                      top=_rooted_shape_join),
+}
+
+
+def _part(instance: Instance, side: list[int], cfg: DecodeConfig, rng) -> Solution:
+    """The part of one side: its fill, or its recursive decode where that applies."""
+    rule = _RULES[instance.kind]
+    if cfg.recursive and len(side) >= _MIN_RECURSION_SIZE:
+        sub = _induce(instance, side)
+        if sub.constraints:
+            g = build(sub, cc_mustlink_weight=cfg.cc_mustlink_weight)
+            S, T = _split(sub, solve(g, _INNER_SOLVER, rng))
+            if S and T:
+                part = rule.join(sub, S, T, _part(sub, S, cfg, rng), _part(sub, T, cfg, rng), cfg)
+                return _best(sub, part, _trivial(sub)) if sub.kind == "cc" else part
+    return rule.fill(instance, side, rng)
 
 
 def decode(instance: Instance, cut: CutResult, cfg: DecodeConfig | None = None, rng=None) -> Solution:
-    kind = instance.kind
-    if kind in ("mas", "btw", "nonbtw"):
-        return decode_ranking(instance, cut, cfg, rng)
-    if kind == "cc":
-        return decode_partition(instance, cut, cfg, rng)
-    if kind == "triplets":
-        return decode_rooted_tree(instance, cut, cfg, rng)
-    return decode_unrooted_tree(instance, cut, cfg, rng)
+    cfg = cfg or DecodeConfig()
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    rule = _RULES[instance.kind]
+    S, T = _split(instance, cut)
+    if not S or not T:
+        if instance.kind in TREE_KINDS:
+            log.warning("degenerate cut, decoding to a uniform random tree")
+        return (rule.whole or rule.fill)(instance, S or T, rng)
+    parts = _part(instance, S, cfg, rng), _part(instance, T, cfg, rng)
+    return (rule.top or rule.join)(instance, S, T, *parts, cfg)

@@ -262,34 +262,28 @@ def random_partition(n: int, rng: np.random.Generator) -> Partition:
     return Partition.dense(rng.integers(0, n, size=n))
 
 
-def random_rooted_tree(
-    n: int, rng: np.random.Generator, items: Sequence[int] | None = None
-) -> RootedBinaryTree:
+def random_rooted_tree(n: int, rng: np.random.Generator) -> RootedBinaryTree:
     """Uniform over the (2n-3)!! topologies by inserting each leaf above a
     uniformly chosen existing node (the root included)."""
-    items = list(range(n)) if items is None else list(items)
-    if not items:
+    if n < 1:
         raise ValueError("rooted tree needs at least one item")
-    parent, left, right, leaf = [-1], [-1], [-1], [items[0]]
+    parent, left, right, leaf = [-1], [-1], [-1], [0]
     root = 0
-    for k in range(1, len(items)):
+    for k in range(1, n):
         v = int(rng.integers(0, len(parent)))
-        root = _rooted_insert_above(parent, left, right, leaf, root, v, items[k])
+        root = _rooted_insert_above(parent, left, right, leaf, root, v, k)
     return _freeze_rooted(parent, left, right, leaf, root)
 
 
-def random_unrooted_tree(
-    n: int, rng: np.random.Generator, items: Sequence[int] | None = None
-) -> UnrootedTree:
+def random_unrooted_tree(n: int, rng: np.random.Generator) -> UnrootedTree:
     """Uniform over the (2n-5)!! trivalent topologies by subdividing a
     uniformly chosen edge per new leaf."""
-    items = list(range(n)) if items is None else list(items)
-    if not items:
+    if n < 1:
         raise ValueError("unrooted tree needs at least one item")
-    adj, leaf, edges = _unrooted_base(items)
-    for k in range(3, len(items)):
+    adj, leaf, edges = _unrooted_base(range(n))
+    for k in range(3, n):
         eidx = int(rng.integers(0, len(edges)))
-        _unrooted_insert_on_edge(adj, leaf, edges, eidx, items[k])
+        _unrooted_insert_on_edge(adj, leaf, edges, eidx, k)
     return _freeze_unrooted(adj, leaf)
 
 

@@ -70,11 +70,14 @@ class GeneratorConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if min(self.m, self.m1, self.m2) < 0:
             raise ValueError("constraint counts must be non-negative")
-        if self.kind in TREE_KINDS:
-            if self.m:
-                raise ValueError(f"kind {self.kind} takes m1/m2, not m")
-        elif self.m1 or self.m2:
-            raise ValueError(f"kind {self.kind} takes m, not m1/m2")
+        # tree kinds count and corrupt forbidden and desired constraints apart
+        takes, not_taken = ("m1", "m2", "eps1", "eps2"), ("m", "eps")
+        if self.kind not in TREE_KINDS:
+            takes, not_taken = not_taken, takes
+        given = [name for name in not_taken if getattr(self, name)]
+        if given:
+            raise ValueError(f"kind {self.kind} takes --{'/--'.join(takes)}, "
+                             f"not --{'/--'.join(given)}")
         if self.balanced and self.n < 3:
             raise ValueError("balanced sampling needs n >= 3")
 

@@ -58,6 +58,23 @@ def test_gen_rejects_m_for_tree_kinds(runner, tmp_path):
     assert "--m1/--m2" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "--kind", "triplets", "--n", "8", "--m1", "20", "--m2", "20", "--eps", "0.3"],
+    ["gen", "--kind", "mas", "--n", "8", "--m", "20", "--eps1", "0.3"],
+    ["gen", "--kind", "cc", "--n", "8", "--m", "20", "--eps2", "0.3"],
+    ["oracle", "--kind", "quartets", "--n", "5", "--m1", "3", "--m2", "3", "--eps", "0.3"],
+    ["oracle", "--kind", "btw", "--n", "5", "--m", "4", "--eps1", "0.3"],
+], ids=["gen-tree-eps", "gen-mas-eps1", "gen-cc-eps2", "oracle-tree-eps", "oracle-btw-eps1"])
+def test_rejects_error_rate_of_the_other_kinds(runner, tmp_path, args):
+    # a tree kind takes --eps1/--eps2 and any other kind --eps; the other
+    # flag used to be dropped without a word
+    out = tmp_path / "x.json"
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "--eps" in res.output
+    assert not out.exists()
+
+
 def test_gen_rejects_bad_rate(runner, tmp_path):
     res = runner.invoke(main, ["gen", "--kind", "mas", "--n", "5", "--m", "4",
                                "--eps", "1.5", "--out", str(tmp_path / "x.json")])

@@ -40,6 +40,14 @@ def test_config_rejects_bad_inputs():
         GeneratorConfig(kind="mas", n=5, m1=3)
     with pytest.raises(ValueError):
         GeneratorConfig(kind="triplets", n=5, m=3)
+    with pytest.raises(ValueError, match="--eps"):
+        GeneratorConfig(kind="triplets", n=5, m1=3, m2=3, eps=0.3)
+    with pytest.raises(ValueError, match="--eps2"):
+        GeneratorConfig(kind="quartets", n=5, m1=3, eps1=0.1, eps2=0.2, eps=0.3)
+    with pytest.raises(ValueError, match="--eps1"):
+        GeneratorConfig(kind="mas", n=5, m=3, eps1=0.3)
+    with pytest.raises(ValueError, match="--eps2"):
+        GeneratorConfig(kind="cc", n=5, m=3, eps=0.1, eps2=0.3)
     with pytest.raises(ValueError):
         GeneratorConfig(kind="cc", n=2, balanced=True)
     with pytest.raises(ValueError, match="seed"):
