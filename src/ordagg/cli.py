@@ -86,10 +86,10 @@ def _solve_instance(instance, scfg: solver.SolverConfig, dcfg: decoder.DecodeCon
     t0 = time.perf_counter()
     g = graph.build(instance, cc_mustlink_weight=dcfg.cc_mustlink_weight)
     # twice the total absolute weight bounds every sum the relaxation, rounding
-    # and local search take: local search adds twice a column, and a directed
-    # gain is a difference of two sums
+    # and local search take: each is bounded by the total, and a local search
+    # gain is a difference of two of them
     with np.errstate(over="ignore"):
-        if not math.isfinite(2.0 * float(np.abs(g.edge_arrays[2]).sum())):
+        if not math.isfinite(2.0 * float(np.abs(g.weights).sum())):
             w = dcfg.cc_mustlink_weight
             raise click.UsageError(f"--cc-weight {w:g} makes the graph's total weight overflow")
     t1 = time.perf_counter()
@@ -118,11 +118,9 @@ def _finite(ctx, param, value):
               help="rounding rounds over the one relaxation ascent, best cut kept")
 @click.option("--hyperplanes", default=200, type=click.IntRange(min=1),
               help="random hyperplanes per rounding round")
-@click.option("--rotation/--no-rotation", default=True)
 @click.option("--recursive", is_flag=True)
 @click.option("--cc-weight", default=-1.0, type=float, callback=_finite)
-def cmd_solve(in_path, out, report_path, seed, restarts, hyperplanes, rotation,
-              recursive, cc_weight):
+def cmd_solve(in_path, out, report_path, seed, restarts, hyperplanes, recursive, cc_weight):
     """Solve an instance file; write the solution and a JSON report."""
     try:
         instance, meta = serialize.obj_to_instance(serialize.read_json(in_path))
@@ -132,8 +130,7 @@ def cmd_solve(in_path, out, report_path, seed, restarts, hyperplanes, rotation,
     if problems:
         raise click.UsageError("; ".join(problems[:5]))
     t0 = time.perf_counter()
-    scfg = solver.SolverConfig(restarts=restarts, hyperplanes=hyperplanes,
-                               rotation=rotation, seed=seed)
+    scfg = solver.SolverConfig(restarts=restarts, hyperplanes=hyperplanes, seed=seed)
     dcfg = decoder.DecodeConfig(recursive=recursive, cc_mustlink_weight=cc_weight, seed=seed)
     cut, sol, layer_ms = _solve_instance(instance, scfg, dcfg)
     sc = score(instance, sol)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -139,21 +139,20 @@ def _freeze_rooted(parent, left, right, leaf, root) -> RootedBinaryTree:
     )
 
 
-def enumerate_rooted_trees(n: int, items: Sequence[int] | None = None) -> Iterator[RootedBinaryTree]:
+def enumerate_rooted_trees(n: int) -> Iterator[RootedBinaryTree]:
     """All (2n-3)!! leaf-labeled topologies, one ordered arena each."""
-    items = list(range(n)) if items is None else list(items)
 
     def rec(k: int):
         if k == 1:
-            yield [-1], [-1], [-1], [items[0]], 0
+            yield [-1], [-1], [-1], [0], 0
             return
         for parent, left, right, leaf, root in rec(k - 1):
             for v in range(len(parent)):
                 p2, l2, r2, f2 = list(parent), list(left), list(right), list(leaf)
-                root2 = _rooted_insert_above(p2, l2, r2, f2, root, v, items[k - 1])
+                root2 = _rooted_insert_above(p2, l2, r2, f2, root, v, k - 1)
                 yield p2, l2, r2, f2, root2
 
-    for arrays in rec(len(items)):
+    for arrays in rec(n):
         yield _freeze_rooted(*arrays)
 
 
@@ -173,14 +172,14 @@ def _unrooted_insert_on_edge(adj, leaf, edges, eidx, item):
     edges.append((w, l))
 
 
-def _unrooted_base(items: Sequence[int]):
-    n = len(items)
+def _unrooted_base(n: int):
+    """The only tree on the leaves 0..n-1 for n <= 3."""
     if n == 1:
-        return [[]], [items[0]], []
+        return [[]], [0], []
     if n == 2:
-        return [[1], [0]], [items[0], items[1]], [(0, 1)]
+        return [[1], [0]], [0, 1], [(0, 1)]
     adj = [[3], [3], [3], [0, 1, 2]]
-    leaf = [items[0], items[1], items[2], -1]
+    leaf = [0, 1, 2, -1]
     edges = [(0, 3), (1, 3), (2, 3)]
     return adj, leaf, edges
 
@@ -192,23 +191,22 @@ def _freeze_unrooted(adj, leaf) -> UnrootedTree:
     )
 
 
-def enumerate_unrooted_trees(n: int, items: Sequence[int] | None = None) -> Iterator[UnrootedTree]:
+def enumerate_unrooted_trees(n: int) -> Iterator[UnrootedTree]:
     """All (2n-5)!! trivalent leaf-labeled topologies for n >= 3."""
-    items = list(range(n)) if items is None else list(items)
 
     def rec(k: int):
         if k <= 3:
-            yield _unrooted_base(items[:k])
+            yield _unrooted_base(k)
             return
         for adj, leaf, edges in rec(k - 1):
             for eidx in range(len(edges)):
                 a2 = [list(nbrs) for nbrs in adj]
                 f2 = list(leaf)
                 e2 = list(edges)
-                _unrooted_insert_on_edge(a2, f2, e2, eidx, items[k - 1])
+                _unrooted_insert_on_edge(a2, f2, e2, eidx, k - 1)
                 yield a2, f2, e2
 
-    for adj, leaf, _ in rec(len(items)):
+    for adj, leaf, _ in rec(n):
         yield _freeze_unrooted(adj, leaf)
 
 
@@ -280,7 +278,7 @@ def random_unrooted_tree(n: int, rng: np.random.Generator) -> UnrootedTree:
     uniformly chosen edge per new leaf."""
     if n < 1:
         raise ValueError("unrooted tree needs at least one item")
-    adj, leaf, edges = _unrooted_base(range(n))
+    adj, leaf, edges = _unrooted_base(min(n, 3))
     for k in range(3, n):
         eidx = int(rng.integers(0, len(edges)))
         _unrooted_insert_on_edge(adj, leaf, edges, eidx, k)

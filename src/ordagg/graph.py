@@ -1,17 +1,18 @@
 """Signed constraint graphs and cut bookkeeping.
 
 Each constraint contributes the fixed pattern of positive and negative edge
-weights named by its class's row in model.CONSTRAINT_SPECS; parallel
-contributions aggregate by summation and exact zeros are dropped. Precedence
-instances build a directed graph (a cut counts only arcs leaving S),
-everything else an undirected one.
+weights named by its class's row in model.CONSTRAINT_SPECS. build reads the
+pattern positions out of each class's item columns (Instance.grouped), sums
+parallel contributions with one np.unique over the edge keys and one
+np.bincount, and drops exact zeros; the graph is those edges as arrays sorted
+by (u, v). Precedence instances build a directed graph (a cut counts only arcs
+leaving S), everything else an undirected one, whose edges have u < v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -40,60 +41,59 @@ class CutStatus(Enum):
     UNAFFECTED = "unaffected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedGraph:
+    """Edges as parallel arrays sorted by (u, v): edge k runs from u[k] to
+    v[k] with weight weights[k] != 0, and an undirected edge has u < v."""
+
     n: int
     directed: bool
-    weights: dict[tuple[int, int], float]
-    w_minus: float
+    u: np.ndarray
+    v: np.ndarray
+    weights: np.ndarray
 
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.weights:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), np.empty(0, dtype=float)
-        keys = sorted(self.weights)
-        u = np.array([k[0] for k in keys], dtype=np.int64)
-        v = np.array([k[1] for k in keys], dtype=np.int64)
-        w = np.array([self.weights[k] for k in keys], dtype=float)
-        return u, v, w
+    @property
+    def w_minus(self) -> float:
+        """Total weight of the negative edges, as a positive number."""
+        return float(np.sum(-self.weights[self.weights < 0.0]))
 
 
 def build(instance: Instance, cc_mustlink_weight: float = -1.0) -> SignedGraph:
+    n = instance.n
     directed = instance.kind == "mas"
-    patterns = {
-        cls: tuple((i, j, cc_mustlink_weight if w is None else w) for i, j, w in spec.pattern)
-        for cls, spec in CONSTRAINT_SPECS.items()
-        if spec.pattern is not None
-    }
-    acc: dict[tuple[int, int], float] = {}
-    for c in instance.constraints:
-        try:
-            pattern = patterns[type(c)]
-        except KeyError:
-            raise TypeError(f"no edge pattern for {type(c).__name__}") from None
-        items = c.items()
-        for i, j, w in pattern:
-            u, v = items[i], items[j]
-            key = (u, v) if directed or u < v else (v, u)
-            acc[key] = acc.get(key, 0.0) + w
-
-    weights = {k: w for k, w in acc.items() if w != 0.0}
-    w_minus = float(sum(-w for w in weights.values() if w < 0.0))
-    return SignedGraph(n=instance.n, directed=directed, weights=weights, w_minus=w_minus)
+    no_edges = np.empty(0, dtype=np.int64)
+    parts = [(no_edges, no_edges, np.empty(0, dtype=float))]
+    for cls, columns in instance.grouped.items():
+        pattern = CONSTRAINT_SPECS[cls].pattern
+        if pattern is None:
+            raise TypeError(f"no edge pattern for {cls.__name__}")
+        i, j, w = zip(*pattern)
+        w = np.array([cc_mustlink_weight if x is None else x for x in w], dtype=float)
+        # constraint-major, so that bincount sums a key's contributions from
+        # one class in constraint order
+        items = np.stack(columns, axis=1)
+        parts.append((items[:, i].ravel(), items[:, j].ravel(), np.tile(w, len(items))))
+    u, v, w = (np.concatenate(column) for column in zip(*parts))
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    keys, inverse = np.unique(u * n + v, return_inverse=True)
+    # astype: bincount returns int64 when it has nothing to count
+    weights = np.bincount(inverse, weights=w, minlength=len(keys)).astype(float, copy=False)
+    keep = weights != 0.0
+    u, v = np.divmod(keys[keep], n)
+    return SignedGraph(n, directed, u, v, weights[keep])
 
 
 def cut_weight(g: SignedGraph, S) -> float:
-    u, v, w = g.edge_arrays
-    if w.size == 0:
+    if g.weights.size == 0:
         return 0.0
     member = np.zeros(g.n, dtype=bool)
     member[list(S)] = True
     if g.directed:
-        mask = member[u] & ~member[v]
+        mask = member[g.u] & ~member[g.v]
     else:
-        mask = member[u] != member[v]
-    return float(w[mask].sum())
+        mask = member[g.u] != member[g.v]
+    return float(g.weights[mask].sum())
 
 
 def classify(c: Constraint, S) -> CutStatus:

@@ -496,7 +496,6 @@ def _lca_depths(
 
 
 Solution = Union[Ranking, Partition, RootedBinaryTree, UnrootedTree]
-GroundTruth = Solution
 
 _ENCODINGS: dict[type, Callable[..., np.ndarray]] = {
     Ranking: lambda s: s.position,

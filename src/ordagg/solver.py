@@ -16,12 +16,13 @@ local optima for generic costs (Boumal, Voroninski and Bandeira), and
 hyperplane rounding is invariant under rotations of V, so a second ascent
 would add no variety that rounding does not.
 Each of the `restarts` rounding rounds then draws a batch of random
-hyperplanes from that one V and keeps the best cut; directed rounding can
-first rotate every row into the plane it spans with v0, at the angle f_half
-of its v0 angle. The weight of every hyperplane's cut comes from one product
-with the dense weight matrix, x^T D (1 - x) per 0/1 membership column x,
-which is exact for integer weights. A greedy single-vertex local search
-polishes each round's cut, and the best round wins.
+hyperplanes from that one V and keeps the best cut; directed rounding first
+rotates every row into the plane it spans with v0, at the angle f_half of its
+v0 angle. The weight of every hyperplane's cut comes from one product with
+the dense weight matrix, x^T D (1 - x) per 0/1 membership column x, which is
+exact for integer weights. A greedy single-vertex local search on D polishes
+each round's cut, one search for both kinds of graph because D is symmetric
+when the graph is undirected, and the best round wins.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ class SolverConfig:
     max_iterations: int = 2000
     restarts: int = 8
     hyperplanes: int = 200
-    rotation: bool = True
-    local_search: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class CutResult:
     S: frozenset[int]
     weight: float
     sdp_objective: float
-    restarts_used: int
-    rounds_used: int
     # steps of the relaxation ascent, and whether it met ASCENT_TOL before
     # max_iterations; a solve without an ascent (no edges) has nothing to climb
     ascent_iterations: int = 0
@@ -178,20 +175,11 @@ def _round(V, D, hyperplanes, rng, directed):
     return side[:, int(np.argmax(_cut_weights(D, side)))].copy()
 
 
-def _local_search_undirected(A, x, max_flips):
-    s = np.where(x, 1.0, -1.0)
-    As = A @ s
-    for _ in range(max_flips):
-        gains = s * As
-        i = int(np.argmax(gains))
-        if gains[i] <= 1e-12:
-            break
-        s[i] = -s[i]
-        As += 2.0 * s[i] * A[:, i]
-    return s > 0.0
-
-
-def _local_search_directed(W, x, max_flips):
+def _local_search(W, x, max_flips):
+    """Flip the single node whose move across the cut gains the most, until
+    none gains more than 1e-12 or after max_flips flips. p_i is the weight of
+    the arcs from S into i and q_i that of the arcs from i out of S; on a
+    symmetric W, p - q is the undirected gain s_i (W s)_i with s = 2x - 1."""
     xf = x.astype(float)
     p = xf @ W
     q = W @ (1.0 - xf)
@@ -217,11 +205,11 @@ def _relaxation(g: SignedGraph) -> tuple[np.ndarray, float, np.ndarray]:
     (symmetric when undirected).
     Directed graphs put v0 in row 0 of M."""
     n = g.n
-    u, v, w = g.edge_arrays
+    w = g.weights
     D = np.zeros((n, n))
-    D[u, v] = w
+    D[g.u, g.v] = w
     if not g.directed:
-        D[v, u] = w
+        D[g.v, g.u] = w
         return -0.25 * D, 0.5 * float(w.sum()), D
     M = np.zeros((n + 1, n + 1))
     out_minus_in = D.sum(axis=1) - D.sum(axis=0)
@@ -238,17 +226,16 @@ def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResul
     from default_rng((seed, r)); seed comes from rng when given."""
     cfg = cfg or SolverConfig()
     n = g.n
-    if n == 0 or not g.weights:
-        return CutResult(frozenset(), 0.0, 0.0, 0, 0)
+    if n == 0 or g.weights.size == 0:
+        return CutResult(frozenset(), 0.0, 0.0)
     t0 = time.perf_counter()
     M, const, D = _relaxation(g)
-    local_search = _local_search_directed if g.directed else _local_search_undirected
     base = cfg.seed if rng is None else int(rng.integers(0, 2**63 - 1))
     rr = np.random.default_rng((base, 0))
     V, relax, steps, converged = _ascend(M, const, _shift(M), default_rank(n),
                                          cfg.max_iterations, ASCENT_TOL, rr)
     t1 = time.perf_counter()
-    if g.directed and cfg.rotation:
+    if g.directed:
         V = _rotate_to_v0(V)
     best_x = None
     best_weight = -math.inf
@@ -256,8 +243,7 @@ def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResul
         if r:
             rr = np.random.default_rng((base, r))
         x = _round(V, D, cfg.hyperplanes, rr, g.directed)
-        if cfg.local_search:
-            x = local_search(D, x, 10 * n)
+        x = _local_search(D, x, 10 * n)
         weight = float(_cut_weights(D, x[:, None])[0])
         if weight > best_weight:
             best_weight = weight
@@ -265,8 +251,7 @@ def solve(g: SignedGraph, cfg: SolverConfig | None = None, rng=None) -> CutResul
     S = frozenset(int(i) for i in np.nonzero(best_x)[0])
     weight = cut_weight(g, S)
     t2 = time.perf_counter()
-    return CutResult(S, weight, max(relax, weight), cfg.restarts,
-                     cfg.restarts * cfg.hyperplanes, steps, converged,
+    return CutResult(S, weight, max(relax, weight), steps, converged,
                      (t1 - t0) * 1000.0, (t2 - t1) * 1000.0)
 
 
@@ -275,16 +260,15 @@ def brute_force_cut(g: SignedGraph) -> CutResult:
     if g.n > 22:
         raise ValueError("brute force is capped at n = 22")
     n = g.n
-    u, v, w = g.edge_arrays
-    if n == 0 or w.size == 0:
-        return CutResult(frozenset(), 0.0, 0.0, 0, 1 if n == 0 else 2**n)
+    if n == 0 or g.weights.size == 0:
+        return CutResult(frozenset(), 0.0, 0.0)
     best_val = -math.inf
     best_subset = 0
     chunk = 1 << min(n, 16)
     for start in range(0, 1 << n, chunk):
         subsets = np.arange(start, start + chunk, dtype=np.int64)
         vals = np.zeros(chunk)
-        for uu, vv, ww in zip(u, v, w):
+        for uu, vv, ww in zip(g.u, g.v, g.weights):
             bu = (subsets >> int(uu)) & 1
             bv = (subsets >> int(vv)) & 1
             if g.directed:
@@ -297,4 +281,4 @@ def brute_force_cut(g: SignedGraph) -> CutResult:
             best_subset = start + i
     S = frozenset(i for i in range(n) if (best_subset >> i) & 1)
     weight = cut_weight(g, S)
-    return CutResult(S, weight, weight, 0, 2**n)
+    return CutResult(S, weight, weight)

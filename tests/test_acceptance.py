@@ -39,6 +39,8 @@ from ordagg.reductions import (
 )
 from ordagg.solver import CutResult, SolverConfig, brute_force_cut, solve
 
+from graphs import signed_graph
+
 _IDENTITY_CFGS = {
     "mas": dict(m=30, eps=0.3),
     "btw": dict(m=30, eps=0.3),
@@ -77,8 +79,7 @@ def _random_signed_graph(rng, directed: bool) -> SignedGraph:
                         weights[arc] = float(rng.choice(vals))
             elif rng.random() < 0.5:
                 weights[(u, v)] = float(rng.choice(vals))
-    w_minus = -sum(w for w in weights.values() if w < 0.0)
-    return SignedGraph(n=n, directed=directed, weights=weights, w_minus=w_minus)
+    return signed_graph(n, directed, weights)
 
 
 def test_c02_undirected_guarantee_on_small_graphs():
@@ -206,7 +207,7 @@ def test_c09_decoder_expectation_identities():
             rng = np.random.default_rng((kind_idx, pair))
             S = frozenset(int(x) for x in np.flatnonzero(rng.random(10) < 0.5))
             w = cut_weight(g, S)
-            cut = CutResult(S=S, weight=w, sdp_objective=w, restarts_used=0, rounds_used=0)
+            cut = CutResult(S=S, weight=w, sdp_objective=w)
             total = 0
             for _ in range(draws):
                 total += score(inst, decode(inst, cut, DecodeConfig(), rng)).satisfied
@@ -222,7 +223,7 @@ def test_c09_decoder_expectation_identities():
             rng = np.random.default_rng((10 + kind_idx, pair))
             S = frozenset(int(x) for x in np.flatnonzero(rng.random(9) < 0.5))
             w = cut_weight(g, S)
-            cut = CutResult(S=S, weight=w, sdp_objective=w, restarts_used=0, rounds_used=0)
+            cut = CutResult(S=S, weight=w, sdp_objective=w)
             total = 0
             for _ in range(draws):
                 total += score(inst, decode(inst, cut, DecodeConfig(), rng)).satisfied
